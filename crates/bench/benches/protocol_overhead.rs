@@ -9,10 +9,10 @@
 //! the protocol run itself.
 use byzcount_analysis::RunSimulation;
 use byzcount_core::sim::{FaultSpec, Simulation, TopologySpec, WorkloadSpec};
-use byzcount_core::{run_basic_counting, run_counting_faulty, run_counting_with, ProtocolParams};
+use byzcount_core::{run_counting, Counting, ProtocolParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netsim_graph::SmallWorldNetwork;
-use netsim_runtime::{NoFaults, NullAdversary};
+use netsim_runtime::{Exec, NoFaults, NullAdversary};
 
 fn bench_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("protocol_overhead");
@@ -20,12 +20,13 @@ fn bench_overhead(c: &mut Criterion) {
     for &n in &[512usize, 1024] {
         let net = SmallWorldNetwork::generate_seeded(n, 6, 9).unwrap();
         let params = ProtocolParams::for_network_default_expansion(&net, 0.6, 0.1);
+        let (alg1, alg2) = (Counting::basic(params), Counting::byzantine(params));
         let byz = vec![false; n];
         group.bench_with_input(BenchmarkId::new("algorithm1", n), &n, |b, _| {
-            b.iter(|| run_basic_counting(&net, &params, 13))
+            b.iter(|| run_counting(&net, alg1, &byz, NullAdversary, 13, Exec::default()))
         });
         group.bench_with_input(BenchmarkId::new("algorithm2", n), &n, |b, _| {
-            b.iter(|| run_counting_with(&net, &params, &byz, NullAdversary, 13))
+            b.iter(|| run_counting(&net, alg2, &byz, NullAdversary, 13, Exec::default()))
         });
     }
     group.finish();
@@ -41,7 +42,8 @@ fn bench_overhead(c: &mut Criterion) {
                 let net = SmallWorldNetwork::generate_seeded(n, 6, 13).unwrap();
                 let params = ProtocolParams::for_network_default_expansion(&net, 0.6, 0.1);
                 let byz = vec![false; n];
-                run_counting_with(&net, &params, &byz, NullAdversary, 13)
+                let alg2 = Counting::byzantine(params);
+                run_counting(&net, alg2, &byz, NullAdversary, 13, Exec::default())
             })
         });
         let sim = Simulation::builder()
@@ -68,30 +70,27 @@ fn bench_overhead(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &[512usize, 1024] {
         let net = SmallWorldNetwork::generate_seeded(n, 6, 9).unwrap();
-        let params = ProtocolParams::for_network_default_expansion(&net, 0.6, 0.1);
+        let alg2 = Counting::byzantine(ProtocolParams::for_network_default_expansion(
+            &net, 0.6, 0.1,
+        ));
         let byz = vec![false; n];
         group.bench_with_input(BenchmarkId::new("no_fault_layer", n), &n, |b, _| {
-            b.iter(|| run_counting_with(&net, &params, &byz, NullAdversary, 13))
+            b.iter(|| run_counting(&net, alg2, &byz, NullAdversary, 13, Exec::default()))
         });
         let honest = vec![true; n];
         group.bench_with_input(BenchmarkId::new("spec_fault_none", n), &n, |b, _| {
             b.iter(|| {
                 assert!(FaultSpec::None.build_plan(n, &honest, 13).is_none());
-                run_counting_faulty(&net, &params, &byz, NullAdversary, true, 13, None, None)
+                run_counting(&net, alg2, &byz, NullAdversary, 13, Exec::default())
             })
         });
         group.bench_with_input(BenchmarkId::new("noop_plan", n), &n, |b, _| {
             b.iter(|| {
-                run_counting_faulty(
-                    &net,
-                    &params,
-                    &byz,
-                    NullAdversary,
-                    true,
-                    13,
-                    None,
-                    Some(Box::new(NoFaults)),
-                )
+                let exec = Exec {
+                    fault_plan: Some(Box::new(NoFaults)),
+                    ..Exec::default()
+                };
+                run_counting(&net, alg2, &byz, NullAdversary, 13, exec)
             })
         });
     }

@@ -1,12 +1,9 @@
-//! Shared helpers for the benchmark targets and experiment binaries, plus
-//! the standardized [`suite`] behind `byzcount-cli bench`.
+//! Shared helpers for the benchmark targets, plus the standardized
+//! [`suite`] behind `byzcount-cli bench`.
 
 pub mod suite;
 
-use byzcount_adversary::{AdversaryKnowledge, CombinedAdversary, Placement};
 use byzcount_core::sim::{AdversarySpec, PlacementSpec, Simulation, TopologySpec, WorkloadSpec};
-use byzcount_core::{run_counting_with, CountingOutcome, ProtocolParams};
-use netsim_graph::SmallWorldNetwork;
 
 /// A builder-API simulation of Algorithm 2 under the combined attack — the
 /// canonical "how much does a full run cost" scenario.
@@ -20,43 +17,4 @@ pub fn combined_attack_sim(n: usize, d: usize, seed: u64) -> Simulation {
         .seed(seed)
         .build()
         .expect("combined-attack spec")
-}
-
-/// Build a network, parameters and the paper's Byzantine budget for a bench.
-pub fn bench_setup(
-    n: usize,
-    d: usize,
-    delta: f64,
-    seed: u64,
-) -> (SmallWorldNetwork, ProtocolParams, Placement) {
-    let net = SmallWorldNetwork::generate_seeded(n, d, seed).expect("network");
-    let params = ProtocolParams::for_network_default_expansion(&net, delta, 0.1);
-    let placement = Placement::random_budget(n, delta, seed ^ 0xFACE);
-    (net, params, placement)
-}
-
-/// One full Algorithm-2 run under the combined adversary.
-pub fn run_combined(n: usize, d: usize, seed: u64) -> CountingOutcome {
-    let (net, params, placement) = bench_setup(n, d, 0.6, seed);
-    let knowledge = AdversaryKnowledge::gather(&net, &params, placement.mask());
-    run_counting_with(
-        &net,
-        &params,
-        placement.mask(),
-        CombinedAdversary::new(knowledge),
-        seed ^ 0xBEEF,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_setup_is_consistent() {
-        let (net, params, placement) = bench_setup(256, 6, 0.6, 1);
-        assert_eq!(net.len(), 256);
-        assert_eq!(params.d, 6);
-        assert_eq!(placement.count(), (256f64).powf(0.4).floor() as usize);
-    }
 }

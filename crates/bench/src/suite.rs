@@ -326,7 +326,7 @@ pub fn run_suite(
                 // bare engine (recorder checks only, no recorder work).
                 let phases = if cfg.profile {
                     let profiler = PhaseProfiler::new();
-                    let profiled = prepared.execute_recorded(&FullRegistry, Some(&profiler))?;
+                    let profiled = prepared.execute_fleet(&FullRegistry, Some(&profiler), None)?;
                     debug_assert_eq!(
                         profiled.rounds, report.rounds,
                         "recorders are observation-only"

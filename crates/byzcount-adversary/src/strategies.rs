@@ -287,8 +287,9 @@ impl Adversary<CountingNode> for CombinedAdversary {
 mod tests {
     use super::*;
     use crate::placement::Placement;
-    use byzcount_core::{run_basic_counting_with, run_counting_with, ProtocolParams};
+    use byzcount_core::{run_counting, Counting, CountingOutcome, ProtocolParams};
     use netsim_graph::SmallWorldNetwork;
+    use netsim_runtime::Exec;
 
     /// Test networks use d = 6 (G-degree ≈ 36) so that a Byzantine node's
     /// audit neighbourhood is a small fraction of the network even at the
@@ -312,11 +313,22 @@ mod tests {
         (net, params, placement, knowledge)
     }
 
+    /// Algorithm 2 on the synchronous engine, which cannot fail.
+    fn algorithm2<A: Adversary<CountingNode>>(
+        net: &SmallWorldNetwork,
+        params: ProtocolParams,
+        byzantine: &[bool],
+        adversary: A,
+        seed: u64,
+    ) -> CountingOutcome {
+        let alg2 = Counting::byzantine(params);
+        run_counting(net, alg2, byzantine, adversary, seed, Exec::default()).unwrap()
+    }
+
     #[test]
     fn honest_behaving_byzantine_nodes_change_nothing() {
         let (net, params, placement, _) = setup(256, 8, 8, 1);
-        let outcome =
-            run_counting_with(&net, &params, placement.mask(), HonestBehavingAdversary, 11);
+        let outcome = algorithm2(&net, params, placement.mask(), HonestBehavingAdversary, 11);
         assert!(outcome.completed);
         let eval = outcome.evaluate();
         assert_eq!(eval.honest_crashed, 0);
@@ -327,7 +339,7 @@ mod tests {
     fn legal_inflation_is_tolerated_by_algorithm_2() {
         let (net, params, placement, knowledge) = setup(256, 8, 8, 2);
         let adversary = ColorInflationAdversary::new(knowledge, InjectionTiming::Legal);
-        let outcome = run_counting_with(&net, &params, placement.mask(), adversary, 13);
+        let outcome = algorithm2(&net, params, placement.mask(), adversary, 13);
         assert!(
             outcome.completed,
             "inflated colors must not prevent termination"
@@ -347,11 +359,12 @@ mod tests {
         // firing for nodes near the Byzantine nodes and their estimates blow
         // up (or they never decide before the round cap).
         let adv1 = ColorInflationAdversary::new(knowledge.clone(), InjectionTiming::LastStep);
-        let basic = run_basic_counting_with(&net, &params, placement.mask(), adv1, 17);
+        let alg1 = Counting::basic(params);
+        let basic = run_counting(&net, alg1, placement.mask(), adv1, 17, Exec::default()).unwrap();
         let eval_basic = basic.evaluate();
         // Algorithm 2 (verification): unattested late colors are rejected.
         let adv2 = ColorInflationAdversary::new(knowledge, InjectionTiming::LastStep);
-        let byz = run_counting_with(&net, &params, placement.mask(), adv2, 17);
+        let byz = algorithm2(&net, params, placement.mask(), adv2, 17);
         let eval_byz = byz.evaluate();
         assert!(
             eval_byz.good_fraction_of_honest > 0.8,
@@ -369,7 +382,7 @@ mod tests {
     fn suppression_is_tolerated() {
         let (net, params, placement, knowledge) = setup(256, 8, 8, 4);
         let adversary = SuppressionAdversary::new(knowledge);
-        let outcome = run_counting_with(&net, &params, placement.mask(), adversary, 19);
+        let outcome = algorithm2(&net, params, placement.mask(), adversary, 19);
         assert!(outcome.completed);
         let eval = outcome.evaluate();
         assert!(eval.good_fraction_of_honest > 0.8, "{eval:?}");
@@ -379,7 +392,7 @@ mod tests {
     fn fake_chain_lies_crash_only_a_small_neighborhood() {
         let (net, params, placement, knowledge) = setup(600, 6, 3, 5);
         let adversary = FakeChainAdversary::new(knowledge);
-        let outcome = run_counting_with(&net, &params, placement.mask(), adversary, 23);
+        let outcome = algorithm2(&net, params, placement.mask(), adversary, 23);
         let eval = outcome.evaluate();
         // Some nodes crash (the liars' audit neighbourhoods), but only a
         // bounded fraction — and nobody accepts the fabricated topology.
@@ -398,7 +411,7 @@ mod tests {
     #[test]
     fn silent_adversary_is_tolerated() {
         let (net, params, placement, _) = setup(600, 6, 4, 6);
-        let outcome = run_counting_with(&net, &params, placement.mask(), SilentAdversary, 29);
+        let outcome = algorithm2(&net, params, placement.mask(), SilentAdversary, 29);
         let eval = outcome.evaluate();
         assert!(eval.good_fraction_of_honest > 0.6, "{eval:?}");
     }
@@ -407,7 +420,7 @@ mod tests {
     fn combined_adversary_is_tolerated_by_algorithm_2() {
         let (net, params, placement, knowledge) = setup(600, 6, 4, 7);
         let adversary = CombinedAdversary::new(knowledge);
-        let outcome = run_counting_with(&net, &params, placement.mask(), adversary, 31);
+        let outcome = algorithm2(&net, params, placement.mask(), adversary, 31);
         let eval = outcome.evaluate();
         assert!(
             eval.good_fraction_of_honest > 0.6,

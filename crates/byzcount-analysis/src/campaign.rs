@@ -14,11 +14,10 @@ use byzcount_baselines::workloads::{
     SpanningTreeWorkload,
 };
 use byzcount_core::sim::{
-    execute_batch as core_execute_batch, execute_batch_recorded as core_execute_batch_recorded,
-    execute_batch_workers as core_execute_batch_workers, execute_spec as core_execute_spec,
-    execute_spec_recorded as core_execute_spec_recorded,
-    execute_spec_workers as core_execute_spec_workers, BatchReport, BatchSpec, CountingEstimator,
-    Estimator, Recorder, RunReport, RunSpec, ScenarioRegistry, SimError, Simulation, WorkloadSpec,
+    execute_batch as core_execute_batch, execute_batch_workers as core_execute_batch_workers,
+    execute_spec as core_execute_spec, execute_spec_workers as core_execute_spec_workers,
+    BatchReport, BatchSpec, CountingEstimator, Estimator, Recorder, RunReport, RunSpec,
+    ScenarioRegistry, SimError, Simulation, WorkloadSpec,
 };
 use byzcount_core::ProtocolParams;
 use std::sync::Arc;
@@ -64,27 +63,11 @@ pub fn execute_batch(spec: &BatchSpec) -> Result<BatchReport, SimError> {
     core_execute_batch(spec, &FullRegistry)
 }
 
-/// [`execute`] with an optional [`Recorder`] observing the run
-/// (observation-only: the report is byte-identical either way).
-pub fn execute_recorded(
-    spec: &RunSpec,
-    recorder: Option<&dyn Recorder>,
-) -> Result<RunReport, SimError> {
-    core_execute_spec_recorded(spec, &FullRegistry, recorder)
-}
-
-/// [`execute_batch`] with an optional [`Recorder`] observing every run.
-pub fn execute_batch_recorded(
-    spec: &BatchSpec,
-    recorder: Option<&dyn Recorder>,
-) -> Result<BatchReport, SimError> {
-    core_execute_batch_recorded(spec, &FullRegistry, recorder)
-}
-
-/// [`execute_recorded`] dialing a remote shard-worker fleet for
-/// distributed-engine runs (in-process fallback when `workers` is
-/// empty).  This is what `byzcount-cli run --workers` calls; reports
-/// are byte-identical across transports.
+/// [`execute`] with an optional [`Recorder`] observing the run and a
+/// remote shard-worker fleet for distributed-engine runs (in-process
+/// fallback when `workers` is empty).  This is what `byzcount-cli run`
+/// calls; reports are byte-identical with or without a recorder and
+/// across transports.
 pub fn execute_workers(
     spec: &RunSpec,
     recorder: Option<&dyn Recorder>,
@@ -93,8 +76,8 @@ pub fn execute_workers(
     core_execute_spec_workers(spec, &FullRegistry, recorder, workers)
 }
 
-/// [`execute_batch_recorded`] dialing a remote shard-worker fleet (see
-/// [`execute_workers`]).
+/// [`execute_batch`] with an optional [`Recorder`] observing every run and
+/// a remote shard-worker fleet (see [`execute_workers`]).
 pub fn execute_batch_workers(
     spec: &BatchSpec,
     recorder: Option<&dyn Recorder>,

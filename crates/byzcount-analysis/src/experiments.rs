@@ -13,16 +13,17 @@ use crate::stats::summarize;
 use crate::table::{fmt_f, Table};
 use byzcount_adversary::{
     AdversaryKnowledge, ColorInflationAdversary, CombinedAdversary, FakeChainAdversary,
-    HonestBehavingAdversary, InjectionTiming, Placement, SilentAdversary, SuppressionAdversary,
+    HonestBehavingAdversary, InjectionTiming, Placement, SilentAdversary,
 };
 use byzcount_core::sim::{
-    AdversarySpec, AttackSpec, BatchReport, FaultSpec, PlacementSpec, RunReport, SeedPolicy,
+    AdversarySpec, AttackSpec, BatchReport, Exec, FaultSpec, PlacementSpec, RunReport, SeedPolicy,
     Simulation, TimingSpec, TopologySpec, WorkloadSpec,
 };
-use byzcount_core::{run_basic_counting_with, run_counting_with, CountingOutcome, ProtocolParams};
+use byzcount_core::{run_counting, Counting, CountingNode, CountingOutcome, ProtocolParams};
 use netsim_graph::expansion::spectral_gap;
 use netsim_graph::metrics::average_clustering;
 use netsim_graph::prelude::*;
+use netsim_runtime::Adversary;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -119,81 +120,18 @@ fn counting_rows(batch: &BatchReport, n: usize) -> Vec<&RunReport> {
     batch.runs.iter().filter(|r| r.n == n).collect()
 }
 
-/// One Byzantine-counting run under a named adversary; used by several
-/// experiments.
-fn run_with_adversary(
-    cfg: &ExperimentConfig,
-    n: usize,
-    trial: usize,
-    adversary_name: &str,
-    verify: bool,
+/// Algorithm 2 on the synchronous engine.  That engine cannot fail, so
+/// the `Result` is unwrapped here once for every experiment.
+fn run_algorithm2<A: Adversary<CountingNode>>(
+    net: &SmallWorldNetwork,
+    params: ProtocolParams,
+    byzantine: &[bool],
+    adversary: A,
+    seed: u64,
 ) -> CountingOutcome {
-    let net = cfg.network(n, trial);
-    let params = cfg.params(&net);
-    let placement = Placement::random_budget(n, cfg.delta, cfg.trial_seed(n, trial) ^ 0xB12);
-    let knowledge = AdversaryKnowledge::gather(&net, &params, placement.mask());
-    let seed = cfg.trial_seed(n, trial) ^ 0x5EED;
-    let mask = placement.mask();
-    let run = |adv: &str| -> CountingOutcome {
-        match adv {
-            "honest" => {
-                if verify {
-                    run_counting_with(&net, &params, mask, HonestBehavingAdversary, seed)
-                } else {
-                    run_basic_counting_with(&net, &params, mask, HonestBehavingAdversary, seed)
-                }
-            }
-            "inflate-legal" => {
-                let a = ColorInflationAdversary::new(knowledge.clone(), InjectionTiming::Legal);
-                if verify {
-                    run_counting_with(&net, &params, mask, a, seed)
-                } else {
-                    run_basic_counting_with(&net, &params, mask, a, seed)
-                }
-            }
-            "inflate-last" => {
-                let a = ColorInflationAdversary::new(knowledge.clone(), InjectionTiming::LastStep);
-                if verify {
-                    run_counting_with(&net, &params, mask, a, seed)
-                } else {
-                    run_basic_counting_with(&net, &params, mask, a, seed)
-                }
-            }
-            "suppress" => {
-                let a = SuppressionAdversary::new(knowledge.clone());
-                if verify {
-                    run_counting_with(&net, &params, mask, a, seed)
-                } else {
-                    run_basic_counting_with(&net, &params, mask, a, seed)
-                }
-            }
-            "fake-chain" => {
-                let a = FakeChainAdversary::new(knowledge.clone());
-                if verify {
-                    run_counting_with(&net, &params, mask, a, seed)
-                } else {
-                    run_basic_counting_with(&net, &params, mask, a, seed)
-                }
-            }
-            "silent" => {
-                if verify {
-                    run_counting_with(&net, &params, mask, SilentAdversary, seed)
-                } else {
-                    run_basic_counting_with(&net, &params, mask, SilentAdversary, seed)
-                }
-            }
-            "combined" => {
-                let a = CombinedAdversary::new(knowledge.clone());
-                if verify {
-                    run_counting_with(&net, &params, mask, a, seed)
-                } else {
-                    run_basic_counting_with(&net, &params, mask, a, seed)
-                }
-            }
-            other => panic!("unknown adversary {other}"),
-        }
-    };
-    run(adversary_name)
+    let counting = Counting::byzantine(params);
+    run_counting(net, counting, byzantine, adversary, seed, Exec::default())
+        .expect("the sync engine never fails")
 }
 
 /// E1 — Theorem 1: fraction of honest nodes with a constant-factor estimate
@@ -326,9 +264,9 @@ pub fn exp_approx_factor(cfg: &ExperimentConfig, d_values: &[usize], n: usize) -
                 let net = SmallWorldNetwork::generate_seeded(n, d, seed).expect("net");
                 let params = ProtocolParams::for_network(&net, cfg.delta, cfg.epsilon);
                 let placement = Placement::random_budget(n, cfg.delta, seed ^ 1);
-                let outcome = run_counting_with(
+                let outcome = run_algorithm2(
                     &net,
-                    &params,
+                    params,
                     placement.mask(),
                     HonestBehavingAdversary,
                     seed ^ 2,
@@ -638,24 +576,17 @@ pub fn exp_core(cfg: &ExperimentConfig, n: usize) -> Table {
                     Placement::random_budget(n, cfg.delta, cfg.trial_seed(n, t) ^ 0xB12);
                 let knowledge = AdversaryKnowledge::gather(&net, &params, placement.mask());
                 let seed = cfg.trial_seed(n, t) ^ 0x5EED;
+                let mask = placement.mask();
                 let outcome = match adversary {
-                    "fake-chain" => run_counting_with(
-                        &net,
-                        &params,
-                        placement.mask(),
-                        FakeChainAdversary::new(knowledge),
-                        seed,
-                    ),
-                    "silent" => {
-                        run_counting_with(&net, &params, placement.mask(), SilentAdversary, seed)
+                    "fake-chain" => {
+                        let fake_chain = FakeChainAdversary::new(knowledge);
+                        run_algorithm2(&net, params, mask, fake_chain, seed)
                     }
-                    _ => run_counting_with(
-                        &net,
-                        &params,
-                        placement.mask(),
-                        CombinedAdversary::new(knowledge),
-                        seed,
-                    ),
+                    "silent" => run_algorithm2(&net, params, mask, SilentAdversary, seed),
+                    _ => {
+                        let combined = CombinedAdversary::new(knowledge);
+                        run_algorithm2(&net, params, mask, combined, seed)
+                    }
                 };
                 let keep: Vec<bool> = (0..n)
                     .map(|i| !outcome.crashed[i] && !placement.mask()[i])
@@ -712,7 +643,13 @@ pub fn exp_phases(cfg: &ExperimentConfig, n: usize) -> Table {
             "reference phase",
         ],
     );
-    let outcome = run_with_adversary(cfg, n, 0, "inflate-legal", true);
+    let net = cfg.network(n, 0);
+    let params = cfg.params(&net);
+    let placement = Placement::random_budget(n, cfg.delta, cfg.trial_seed(n, 0) ^ 0xB12);
+    let knowledge = AdversaryKnowledge::gather(&net, &params, placement.mask());
+    let adversary = ColorInflationAdversary::new(knowledge, InjectionTiming::Legal);
+    let seed = cfg.trial_seed(n, 0) ^ 0x5EED;
+    let outcome = run_algorithm2(&net, params, placement.mask(), adversary, seed);
     let reference = outcome.params.expected_decision_phase(n);
     let mut histogram: std::collections::BTreeMap<u64, usize> = Default::default();
     let mut honest_total = 0usize;

@@ -7,9 +7,9 @@
 //! suppressing node biases it downward.
 
 use crate::attack::BaselineAttack;
+use crate::run_baseline;
 use netsim_runtime::{
-    run_with_engine_fleet, Action, EngineConfig, EngineKind, Envelope, FaultPlan, MessageSize,
-    NodeContext, NullAdversary, Outbox, Protocol, Recorder, RemoteFleet, RunError, RunResult,
+    Action, Envelope, Exec, MessageSize, NodeContext, Outbox, Protocol, RunError, RunResult,
     SizedMessage, Topology,
 };
 use netsim_wire::{Reader, Wire, WireError};
@@ -140,70 +140,23 @@ impl Protocol for ExponentialSupportEstimator {
     }
 }
 
-/// Run the estimator over a topology.
+/// Run the estimator over a topology: `byzantine[i]` marks node `i` as
+/// Byzantine with behaviour `attack`, and the engine stops at `ttl + 4`
+/// rounds.
+///
+/// # Errors
+/// Only the distributed engine can fail; see
+/// [`run_with_engine`](netsim_runtime::run_with_engine).
 pub fn run_exponential_support<T: Topology>(
     topo: &T,
     byzantine: &[bool],
     attack: BaselineAttack,
     ttl: u64,
     seed: u64,
-) -> RunResult<f64> {
-    run_exponential_support_faulty(topo, byzantine, attack, ttl, seed, None)
-}
-
-/// [`run_exponential_support`] with an optional network [`FaultPlan`]
-/// installed on the engine.
-pub fn run_exponential_support_faulty<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-) -> RunResult<f64> {
-    run_exponential_support_engine(
-        topo,
-        byzantine,
-        attack,
-        ttl,
-        seed,
-        fault_plan,
-        EngineKind::Sync,
-    )
-}
-
-/// [`run_exponential_support_faulty`] with an explicit [`EngineKind`]
-/// (classic or sharded; results are byte-identical either way).
-pub fn run_exponential_support_engine<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-) -> RunResult<f64> {
-    run_exponential_support_recorded(topo, byzantine, attack, ttl, seed, fault_plan, engine, None)
-}
-
-/// [`run_exponential_support_engine`] with an optional [`Recorder`]
-/// observing the run (observation-only: results are byte-identical either
-/// way).
-#[allow(clippy::too_many_arguments)]
-pub fn run_exponential_support_recorded<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-) -> RunResult<f64> {
-    run_exponential_support_fleet(
-        topo, byzantine, attack, ttl, seed, fault_plan, engine, recorder, None,
-    )
-    .expect("in-process engines are infallible")
+    exec: Exec<'_>,
+) -> Result<RunResult<f64>, RunError> {
+    let nodes = exponential_support_nodes(byzantine, attack, ttl, 0..topo.len());
+    run_baseline(topo, nodes, byzantine, ttl + 4, seed, exec)
 }
 
 /// Build the per-node estimator states for global node ids `range` (the
@@ -225,44 +178,20 @@ pub fn exponential_support_nodes(
         .collect()
 }
 
-/// [`run_exponential_support_recorded`] with an optional remote
-/// shard-worker fleet for the distributed engine — the only exponential
-/// runner that can fail, and only on remote transports.
-#[allow(clippy::too_many_arguments)]
-pub fn run_exponential_support_fleet<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-    fleet: Option<&RemoteFleet>,
-) -> Result<RunResult<f64>, RunError> {
-    let nodes = exponential_support_nodes(byzantine, attack, ttl, 0..topo.len());
-    let config = EngineConfig {
-        max_rounds: ttl + 4,
-        stop_when_all_decided: true,
-    };
-    run_with_engine_fleet(
-        engine,
-        topo,
-        nodes,
-        byzantine.to_vec(),
-        NullAdversary,
-        config,
-        seed,
-        fault_plan,
-        recorder,
-        fleet,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netsim_graph::SmallWorldNetwork;
+
+    fn run<T: Topology>(
+        topo: &T,
+        byz: &[bool],
+        attack: BaselineAttack,
+        ttl: u64,
+        seed: u64,
+    ) -> RunResult<f64> {
+        run_exponential_support(topo, byz, attack, ttl, seed, Exec::default()).unwrap()
+    }
 
     fn ttl_for(n: usize) -> u64 {
         (3.0 * (n as f64).log2()).ceil() as u64 + 5
@@ -273,8 +202,7 @@ mod tests {
         let n = 2048usize;
         let net = SmallWorldNetwork::generate_seeded(n, 8, 1).unwrap();
         let byz = vec![false; n];
-        let result =
-            run_exponential_support(net.h().csr(), &byz, BaselineAttack::None, ttl_for(n), 3);
+        let result = run(net.h().csr(), &byz, BaselineAttack::None, ttl_for(n), 3);
         assert!(result.completed);
         let est = result.outputs[0].unwrap();
         // With K = 8 repetitions the estimator is noisy but within a factor
@@ -293,8 +221,7 @@ mod tests {
         let net = SmallWorldNetwork::generate_seeded(n, 8, 2).unwrap();
         let mut byz = vec![false; n];
         byz[100] = true;
-        let result =
-            run_exponential_support(net.h().csr(), &byz, BaselineAttack::Inflate, ttl_for(n), 4);
+        let result = run(net.h().csr(), &byz, BaselineAttack::Inflate, ttl_for(n), 4);
         let honest_est = result
             .outputs
             .iter()

@@ -9,9 +9,9 @@
 //! leader, shrinking everyone's estimate.
 
 use crate::attack::BaselineAttack;
+use crate::run_baseline;
 use netsim_runtime::{
-    run_with_engine_fleet, Action, EngineConfig, EngineKind, Envelope, FaultPlan, MessageSize,
-    NodeContext, NullAdversary, Outbox, Protocol, Recorder, RemoteFleet, RunError, RunResult,
+    Action, Envelope, Exec, MessageSize, NodeContext, Outbox, Protocol, RunError, RunResult,
     SizedMessage, Topology,
 };
 use netsim_wire::{Reader, Wire, WireError};
@@ -71,8 +71,11 @@ impl Protocol for FloodDiameterEstimator {
         _rng: &mut ChaCha8Rng,
     ) -> Action<u64> {
         if ctx.round == 0 {
+            // `BaselineAttack::None` follows the protocol, so a Byzantine
+            // leader under it still floods (the control arm).
+            let follows_protocol = matches!(self.byz, None | Some(BaselineAttack::None));
             let pretend_leader = matches!(self.byz, Some(BaselineAttack::Inflate));
-            if (self.is_leader && self.byz.is_none()) || pretend_leader {
+            if (self.is_leader && follows_protocol) || pretend_leader {
                 self.first_seen = Some(0);
                 outbox.broadcast(ctx.neighbors.iter(), TokenMsg);
             }
@@ -95,69 +98,22 @@ impl Protocol for FloodDiameterEstimator {
     }
 }
 
-/// Run the flooding estimator with node 0 as the (honest) leader.
+/// Run the flooding estimator with node 0 as the leader.  The engine stops
+/// at `ttl + 4` rounds.
+///
+/// # Errors
+/// Only the distributed engine can fail; see
+/// [`run_with_engine`](netsim_runtime::run_with_engine).
 pub fn run_flood_diameter<T: Topology>(
     topo: &T,
     byzantine: &[bool],
     attack: BaselineAttack,
     ttl: u64,
     seed: u64,
-) -> RunResult<u64> {
-    run_flood_diameter_faulty(topo, byzantine, attack, ttl, seed, None)
-}
-
-/// [`run_flood_diameter`] with an optional network [`FaultPlan`] installed
-/// on the engine.
-pub fn run_flood_diameter_faulty<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-) -> RunResult<u64> {
-    run_flood_diameter_engine(
-        topo,
-        byzantine,
-        attack,
-        ttl,
-        seed,
-        fault_plan,
-        EngineKind::Sync,
-    )
-}
-
-/// [`run_flood_diameter_faulty`] with an explicit [`EngineKind`] (classic
-/// or sharded; results are byte-identical either way).
-pub fn run_flood_diameter_engine<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-) -> RunResult<u64> {
-    run_flood_diameter_recorded(topo, byzantine, attack, ttl, seed, fault_plan, engine, None)
-}
-
-/// [`run_flood_diameter_engine`] with an optional [`Recorder`] observing
-/// the run (observation-only: results are byte-identical either way).
-#[allow(clippy::too_many_arguments)]
-pub fn run_flood_diameter_recorded<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-) -> RunResult<u64> {
-    run_flood_diameter_fleet(
-        topo, byzantine, attack, ttl, seed, fault_plan, engine, recorder, None,
-    )
-    .expect("in-process engines are infallible")
+    exec: Exec<'_>,
+) -> Result<RunResult<u64>, RunError> {
+    let nodes = flood_diameter_nodes(byzantine, attack, ttl, 0..topo.len());
+    run_baseline(topo, nodes, byzantine, ttl + 4, seed, exec)
 }
 
 /// Build the per-node estimator states for global node ids `range` (the
@@ -176,45 +132,21 @@ pub fn flood_diameter_nodes(
         .collect()
 }
 
-/// [`run_flood_diameter_recorded`] with an optional remote shard-worker
-/// fleet for the distributed engine — the only flood runner that can fail,
-/// and only on remote transports.
-#[allow(clippy::too_many_arguments)]
-pub fn run_flood_diameter_fleet<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-    fleet: Option<&RemoteFleet>,
-) -> Result<RunResult<u64>, RunError> {
-    let nodes = flood_diameter_nodes(byzantine, attack, ttl, 0..topo.len());
-    let config = EngineConfig {
-        max_rounds: ttl + 4,
-        stop_when_all_decided: true,
-    };
-    run_with_engine_fleet(
-        engine,
-        topo,
-        nodes,
-        byzantine.to_vec(),
-        NullAdversary,
-        config,
-        seed,
-        fault_plan,
-        recorder,
-        fleet,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netsim_graph::metrics::diameter_estimate;
     use netsim_graph::SmallWorldNetwork;
+
+    fn run<T: Topology>(
+        topo: &T,
+        byz: &[bool],
+        attack: BaselineAttack,
+        ttl: u64,
+        seed: u64,
+    ) -> RunResult<u64> {
+        run_flood_diameter(topo, byz, attack, ttl, seed, Exec::default()).unwrap()
+    }
 
     #[test]
     fn honest_flood_matches_bfs_distances() {
@@ -222,7 +154,7 @@ mod tests {
         let net = SmallWorldNetwork::generate_seeded(n, 8, 1).unwrap();
         let byz = vec![false; n];
         let ttl = (3.0 * (n as f64).log2()).ceil() as u64;
-        let result = run_flood_diameter(net.h().csr(), &byz, BaselineAttack::None, ttl, 2);
+        let result = run(net.h().csr(), &byz, BaselineAttack::None, ttl, 2);
         assert!(result.completed);
         let max_round = result.outputs.iter().map(|o| o.unwrap()).max().unwrap();
         let diam = diameter_estimate(net.h().csr(), 0).lower_bound as u64;
@@ -236,6 +168,23 @@ mod tests {
     }
 
     #[test]
+    fn byzantine_leader_under_the_control_attack_still_floods() {
+        // `BaselineAttack::None` is the control arm: a Byzantine node 0
+        // following the protocol must lead exactly like an honest one.
+        let n = 256usize;
+        let net = SmallWorldNetwork::generate_seeded(n, 8, 5).unwrap();
+        let ttl = (3.0 * (n as f64).log2()).ceil() as u64;
+        let honest = run(net.h().csr(), &vec![false; n], BaselineAttack::None, ttl, 6);
+        let mut byz = vec![false; n];
+        byz[0] = true;
+        let control = run(net.h().csr(), &byz, BaselineAttack::None, ttl, 6);
+        for i in 1..n {
+            assert_eq!(control.outputs[i], honest.outputs[i], "node {i}");
+        }
+        assert!(honest.outputs[1..].iter().all(|o| *o != Some(u64::MAX)));
+    }
+
+    #[test]
     fn fake_leaders_shrink_estimates() {
         let n = 512usize;
         let net = SmallWorldNetwork::generate_seeded(n, 8, 3).unwrap();
@@ -245,9 +194,8 @@ mod tests {
             byz[i] = true;
         }
         let ttl = (3.0 * (n as f64).log2()).ceil() as u64;
-        let honest =
-            run_flood_diameter(net.h().csr(), &vec![false; n], BaselineAttack::None, ttl, 4);
-        let attacked = run_flood_diameter(net.h().csr(), &byz, BaselineAttack::Inflate, ttl, 4);
+        let honest = run(net.h().csr(), &vec![false; n], BaselineAttack::None, ttl, 4);
+        let attacked = run(net.h().csr(), &byz, BaselineAttack::Inflate, ttl, 4);
         let sum = |r: &RunResult<u64>, mask: &[bool]| -> f64 {
             let vals: Vec<u64> = r
                 .outputs

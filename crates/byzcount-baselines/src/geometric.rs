@@ -8,10 +8,10 @@
 //! (making the network look huge) or refuse to forward the true maximum.
 
 use crate::attack::BaselineAttack;
+use crate::run_baseline;
 use byzcount_core::color::{sample_color, Color};
 use netsim_runtime::{
-    run_with_engine_fleet, Action, EngineConfig, EngineKind, Envelope, FaultPlan, MessageSize,
-    NodeContext, NullAdversary, Outbox, Protocol, Recorder, RemoteFleet, RunError, RunResult,
+    Action, Envelope, Exec, MessageSize, NodeContext, Outbox, Protocol, RunError, RunResult,
     SizedMessage, Topology,
 };
 use netsim_wire::{Reader, Wire, WireError};
@@ -117,69 +117,21 @@ impl Protocol for GeometricSupportEstimator {
 ///
 /// `byzantine[i]` marks node `i` as Byzantine with behaviour `attack`;
 /// `ttl` is the flooding horizon (use ≥ the diameter; `3·log₂ n + 5` is a
-/// safe choice on expanders).
+/// safe choice on expanders), and the engine stops at `ttl + 4` rounds.
+///
+/// # Errors
+/// Only the distributed engine can fail; see
+/// [`run_with_engine`](netsim_runtime::run_with_engine).
 pub fn run_geometric_support<T: Topology>(
     topo: &T,
     byzantine: &[bool],
     attack: BaselineAttack,
     ttl: u64,
     seed: u64,
-) -> RunResult<u32> {
-    run_geometric_support_faulty(topo, byzantine, attack, ttl, seed, None)
-}
-
-/// [`run_geometric_support`] with an optional network [`FaultPlan`]
-/// installed on the engine.
-pub fn run_geometric_support_faulty<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-) -> RunResult<u32> {
-    run_geometric_support_engine(
-        topo,
-        byzantine,
-        attack,
-        ttl,
-        seed,
-        fault_plan,
-        EngineKind::Sync,
-    )
-}
-
-/// [`run_geometric_support_faulty`] with an explicit [`EngineKind`]
-/// (classic or sharded; results are byte-identical either way).
-pub fn run_geometric_support_engine<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-) -> RunResult<u32> {
-    run_geometric_support_recorded(topo, byzantine, attack, ttl, seed, fault_plan, engine, None)
-}
-
-/// [`run_geometric_support_engine`] with an optional [`Recorder`] observing
-/// the run (observation-only: results are byte-identical either way).
-#[allow(clippy::too_many_arguments)]
-pub fn run_geometric_support_recorded<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-) -> RunResult<u32> {
-    run_geometric_support_fleet(
-        topo, byzantine, attack, ttl, seed, fault_plan, engine, recorder, None,
-    )
-    .expect("in-process engines are infallible")
+    exec: Exec<'_>,
+) -> Result<RunResult<u32>, RunError> {
+    let nodes = geometric_support_nodes(byzantine, attack, ttl, 0..topo.len());
+    run_baseline(topo, nodes, byzantine, ttl + 4, seed, exec)
 }
 
 /// Build the per-node estimator states for global node ids `range` (the
@@ -201,40 +153,6 @@ pub fn geometric_support_nodes(
         .collect()
 }
 
-/// [`run_geometric_support_recorded`] with an optional remote shard-worker
-/// fleet for the distributed engine — the only geometric runner that can
-/// fail, and only on remote transports.
-#[allow(clippy::too_many_arguments)]
-pub fn run_geometric_support_fleet<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-    fleet: Option<&RemoteFleet>,
-) -> Result<RunResult<u32>, RunError> {
-    let nodes = geometric_support_nodes(byzantine, attack, ttl, 0..topo.len());
-    let config = EngineConfig {
-        max_rounds: ttl + 4,
-        stop_when_all_decided: true,
-    };
-    run_with_engine_fleet(
-        engine,
-        topo,
-        nodes,
-        byzantine.to_vec(),
-        NullAdversary,
-        config,
-        seed,
-        fault_plan,
-        recorder,
-        fleet,
-    )
-}
-
 /// Honest nodes' decided estimates.
 pub fn honest_estimates(result: &RunResult<u32>, byzantine: &[bool]) -> Vec<u32> {
     result
@@ -251,6 +169,16 @@ mod tests {
     use super::*;
     use netsim_graph::SmallWorldNetwork;
 
+    fn run<T: Topology>(
+        topo: &T,
+        byz: &[bool],
+        attack: BaselineAttack,
+        ttl: u64,
+        seed: u64,
+    ) -> RunResult<u32> {
+        run_geometric_support(topo, byz, attack, ttl, seed, Exec::default()).unwrap()
+    }
+
     fn ttl_for(n: usize) -> u64 {
         (3.0 * (n as f64).log2()).ceil() as u64 + 5
     }
@@ -259,8 +187,7 @@ mod tests {
     fn honest_run_estimates_log_n() {
         let net = SmallWorldNetwork::generate_seeded(1024, 8, 1).unwrap();
         let byz = vec![false; 1024];
-        let result =
-            run_geometric_support(net.h().csr(), &byz, BaselineAttack::None, ttl_for(1024), 3);
+        let result = run(net.h().csr(), &byz, BaselineAttack::None, ttl_for(1024), 3);
         assert!(result.completed);
         let estimates = honest_estimates(&result, &byz);
         assert_eq!(estimates.len(), 1024);
@@ -279,7 +206,7 @@ mod tests {
         let net = SmallWorldNetwork::generate_seeded(1024, 8, 2).unwrap();
         let mut byz = vec![false; 1024];
         byz[17] = true;
-        let result = run_geometric_support(
+        let result = run(
             net.h().csr(),
             &byz,
             BaselineAttack::Inflate,
@@ -303,7 +230,7 @@ mod tests {
         let path = Csr::from_undirected_edges(n, &edges).unwrap();
         let mut byz = vec![false; n];
         byz[1] = true;
-        let result = run_geometric_support(&path, &byz, BaselineAttack::Suppress, 2 * n as u64, 11);
+        let result = run(&path, &byz, BaselineAttack::Suppress, 2 * n as u64, 11);
         let isolated = result.outputs[0].unwrap();
         let far_side_max = (2..n).map(|i| result.outputs[i].unwrap()).max().unwrap();
         assert!(
@@ -316,8 +243,8 @@ mod tests {
     fn deterministic_per_seed() {
         let net = SmallWorldNetwork::generate_seeded(256, 8, 4).unwrap();
         let byz = vec![false; 256];
-        let a = run_geometric_support(net.h().csr(), &byz, BaselineAttack::None, 40, 9);
-        let b = run_geometric_support(net.h().csr(), &byz, BaselineAttack::None, 40, 9);
+        let a = run(net.h().csr(), &byz, BaselineAttack::None, 40, 9);
+        let b = run(net.h().csr(), &byz, BaselineAttack::None, 40, 9);
         assert_eq!(a.outputs, b.outputs);
     }
 }

@@ -32,25 +32,49 @@ pub mod workloads;
 
 pub use attack::BaselineAttack;
 pub use exponential::{
-    exponential_support_nodes, run_exponential_support, run_exponential_support_engine,
-    run_exponential_support_faulty, run_exponential_support_fleet,
-    run_exponential_support_recorded, ExponentialSupportEstimator,
+    exponential_support_nodes, run_exponential_support, ExponentialSupportEstimator,
 };
-pub use flood_diameter::{
-    flood_diameter_nodes, run_flood_diameter, run_flood_diameter_engine, run_flood_diameter_faulty,
-    run_flood_diameter_fleet, run_flood_diameter_recorded, FloodDiameterEstimator,
-};
-pub use geometric::{
-    geometric_support_nodes, run_geometric_support, run_geometric_support_engine,
-    run_geometric_support_faulty, run_geometric_support_fleet, run_geometric_support_recorded,
-    GeometricSupportEstimator,
-};
-pub use spanning_tree::{
-    run_spanning_tree_count, run_spanning_tree_count_engine, run_spanning_tree_count_faulty,
-    run_spanning_tree_count_fleet, run_spanning_tree_count_recorded, spanning_tree_nodes,
-    SpanningTreeCounter,
-};
+pub use flood_diameter::{flood_diameter_nodes, run_flood_diameter, FloodDiameterEstimator};
+pub use geometric::{geometric_support_nodes, run_geometric_support, GeometricSupportEstimator};
+pub use spanning_tree::{run_spanning_tree_count, spanning_tree_nodes, SpanningTreeCounter};
 pub use workloads::{
     attack_from_spec, ExponentialSupportWorkload, FloodDiameterWorkload, GeometricSupportWorkload,
     SpanningTreeWorkload,
 };
+
+use netsim_runtime::{
+    run_with_engine, EngineConfig, Exec, NullAdversary, Protocol, RunError, RunResult, Topology,
+};
+use netsim_wire::Wire;
+
+/// Run baseline `nodes` until every honest node decides or `max_rounds`
+/// pass.  Baselines model Byzantine behaviour inside their node states,
+/// so the engine's adversary is always the null one.
+fn run_baseline<T, P>(
+    topo: &T,
+    nodes: Vec<P>,
+    byzantine: &[bool],
+    max_rounds: u64,
+    seed: u64,
+    exec: Exec<'_>,
+) -> Result<RunResult<P::Output>, RunError>
+where
+    T: Topology,
+    P: Protocol + Clone + Send + Sync + 'static,
+    P::Output: Send + Wire,
+    P::Message: Wire,
+{
+    let config = EngineConfig {
+        max_rounds,
+        stop_when_all_decided: true,
+    };
+    run_with_engine(
+        topo,
+        nodes,
+        byzantine.to_vec(),
+        NullAdversary,
+        config,
+        seed,
+        exec,
+    )
+}

@@ -9,10 +9,10 @@
 //! respond, dead-locking the converge-cast (suppress).
 
 use crate::attack::BaselineAttack;
+use crate::run_baseline;
 use netsim_graph::NodeId;
 use netsim_runtime::{
-    run_with_engine_fleet, Action, EngineConfig, EngineKind, Envelope, FaultPlan, MessageSize,
-    NodeContext, NullAdversary, Outbox, Protocol, Recorder, RemoteFleet, RunError, RunResult,
+    Action, Envelope, Exec, MessageSize, NodeContext, Outbox, Protocol, RunError, RunResult,
     SizedMessage, Topology,
 };
 use netsim_wire::{Reader, Wire, WireError};
@@ -206,72 +206,22 @@ impl Protocol for SpanningTreeCounter {
     }
 }
 
-/// Run the spanning-tree counter with node 0 as root.
+/// Run the spanning-tree counter with node 0 as root; the engine stops at
+/// `max_rounds`.
+///
+/// # Errors
+/// Only the distributed engine can fail; see
+/// [`run_with_engine`](netsim_runtime::run_with_engine).
 pub fn run_spanning_tree_count<T: Topology>(
     topo: &T,
     byzantine: &[bool],
     attack: BaselineAttack,
     max_rounds: u64,
     seed: u64,
-) -> RunResult<u64> {
-    run_spanning_tree_count_faulty(topo, byzantine, attack, max_rounds, seed, None)
-}
-
-/// [`run_spanning_tree_count`] with an optional network [`FaultPlan`]
-/// installed on the engine.
-pub fn run_spanning_tree_count_faulty<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    max_rounds: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-) -> RunResult<u64> {
-    run_spanning_tree_count_engine(
-        topo,
-        byzantine,
-        attack,
-        max_rounds,
-        seed,
-        fault_plan,
-        EngineKind::Sync,
-    )
-}
-
-/// [`run_spanning_tree_count_faulty`] with an explicit [`EngineKind`]
-/// (classic or sharded; results are byte-identical either way).
-pub fn run_spanning_tree_count_engine<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    max_rounds: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-) -> RunResult<u64> {
-    run_spanning_tree_count_recorded(
-        topo, byzantine, attack, max_rounds, seed, fault_plan, engine, None,
-    )
-}
-
-/// [`run_spanning_tree_count_engine`] with an optional [`Recorder`]
-/// observing the run (observation-only: results are byte-identical either
-/// way).
-#[allow(clippy::too_many_arguments)]
-pub fn run_spanning_tree_count_recorded<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    max_rounds: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-) -> RunResult<u64> {
-    run_spanning_tree_count_fleet(
-        topo, byzantine, attack, max_rounds, seed, fault_plan, engine, recorder, None,
-    )
-    .expect("in-process engines are infallible")
+    exec: Exec<'_>,
+) -> Result<RunResult<u64>, RunError> {
+    let nodes = spanning_tree_nodes(byzantine, attack, 0..topo.len());
+    run_baseline(topo, nodes, byzantine, max_rounds, seed, exec)
 }
 
 /// Build the per-node counter states for global node ids `range` (the full
@@ -287,51 +237,27 @@ pub fn spanning_tree_nodes(
         .collect()
 }
 
-/// [`run_spanning_tree_count_recorded`] with an optional remote
-/// shard-worker fleet for the distributed engine — the only spanning-tree
-/// runner that can fail, and only on remote transports.
-#[allow(clippy::too_many_arguments)]
-pub fn run_spanning_tree_count_fleet<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    max_rounds: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-    fleet: Option<&RemoteFleet>,
-) -> Result<RunResult<u64>, RunError> {
-    let nodes = spanning_tree_nodes(byzantine, attack, 0..topo.len());
-    let config = EngineConfig {
-        max_rounds,
-        stop_when_all_decided: true,
-    };
-    run_with_engine_fleet(
-        engine,
-        topo,
-        nodes,
-        byzantine.to_vec(),
-        NullAdversary,
-        config,
-        seed,
-        fault_plan,
-        recorder,
-        fleet,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netsim_graph::SmallWorldNetwork;
+
+    fn run<T: Topology>(
+        topo: &T,
+        byz: &[bool],
+        attack: BaselineAttack,
+        max_rounds: u64,
+        seed: u64,
+    ) -> RunResult<u64> {
+        run_spanning_tree_count(topo, byz, attack, max_rounds, seed, Exec::default()).unwrap()
+    }
 
     #[test]
     fn counts_exactly_without_faults() {
         let n = 500usize;
         let net = SmallWorldNetwork::generate_seeded(n, 8, 1).unwrap();
         let byz = vec![false; n];
-        let result = run_spanning_tree_count(net.h().csr(), &byz, BaselineAttack::None, 400, 2);
+        let result = run(net.h().csr(), &byz, BaselineAttack::None, 400, 2);
         assert!(result.completed);
         assert!(result.outputs.iter().all(|o| *o == Some(n as u64)));
     }
@@ -342,7 +268,7 @@ mod tests {
         let net = SmallWorldNetwork::generate_seeded(n, 8, 3).unwrap();
         let mut byz = vec![false; n];
         byz[50] = true;
-        let result = run_spanning_tree_count(net.h().csr(), &byz, BaselineAttack::Inflate, 400, 4);
+        let result = run(net.h().csr(), &byz, BaselineAttack::Inflate, 400, 4);
         let root_count = result.outputs[0];
         assert!(
             root_count.unwrap_or(0) >= INFLATED_COUNT,
@@ -356,7 +282,7 @@ mod tests {
         let net = SmallWorldNetwork::generate_seeded(n, 8, 5).unwrap();
         let mut byz = vec![false; n];
         byz[50] = true;
-        let result = run_spanning_tree_count(net.h().csr(), &byz, BaselineAttack::Suppress, 200, 6);
+        let result = run(net.h().csr(), &byz, BaselineAttack::Suppress, 200, 6);
         // The root never hears from the silent child's subtree, so the
         // protocol cannot complete.
         assert!(!result.completed);

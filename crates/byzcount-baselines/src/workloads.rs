@@ -5,19 +5,39 @@
 //! [`SimulationBuilder`](byzcount_core::sim::SimulationBuilder), produce the
 //! same [`RunReport`](byzcount_core::sim::RunReport)s and batch the same way
 //! as the real protocols.
+//!
+//! # Round horizons
+//!
+//! Every horizon is resolved here, in one place that both the coordinator's
+//! [`Estimator::run`] and a shard worker's [`Estimator::serve_shard`] call,
+//! so the two can never drift apart.  Precedence: the workload's own field
+//! (`ttl` / `max_rounds`), then the spec's `RunSpec.max_rounds`, then a
+//! value derived from `n`:
+//!
+//! | Workload | Derived horizon | Engine round cap |
+//! | --- | --- | --- |
+//! | geometric / exponential support | TTL `⌈3·log₂ n⌉ + 5` | `ttl + 4` |
+//! | flood diameter | TTL `max(⌈3·log₂ n⌉ + 5, n)` | `ttl + 4` |
+//! | spanning tree | cap `max(4·(⌈3·log₂ n⌉ + 5), 2n + 8)` | the cap |
+//!
+//! A spec-level `max_rounds = m` becomes TTL `max(m − 4, 1)` for the TTL
+//! workloads, so their engine cap is `m` (for `m ≥ 5`).  The flood and
+//! spanning-tree derivations are linear in `n` so that trees and other
+//! high-diameter graphs still complete; at `n = 2048` the spanning tree's
+//! cap is 4,104 rounds.
 
 use crate::attack::BaselineAttack;
 use crate::{
     exponential_support_nodes, flood_diameter_nodes, geometric_support_nodes,
-    run_exponential_support_fleet, run_flood_diameter_fleet, run_geometric_support_fleet,
-    run_spanning_tree_count_fleet, spanning_tree_nodes,
+    run_exponential_support, run_flood_diameter, run_geometric_support, run_spanning_tree_count,
+    spanning_tree_nodes,
 };
 use byzcount_core::sim::{
-    AttackSpec, Estimand, Estimator, RunError, ShardServeConfig, SimContext, SimError, WorkloadRun,
+    AttackSpec, Estimand, Estimator, ShardServeConfig, SimContext, SimError, WorkloadRun,
 };
 use netsim_graph::log2n;
 use netsim_runtime::wire::IoStream;
-use netsim_runtime::{serve_shard_session, RunResult};
+use netsim_runtime::RunResult;
 
 /// Map the spec-layer attack to the baseline crate's enum.
 pub fn attack_from_spec(spec: AttackSpec) -> BaselineAttack {
@@ -33,19 +53,12 @@ fn default_ttl(n: usize) -> u64 {
     (3.0 * log2n(n)).ceil() as u64 + 5
 }
 
-/// TTL precedence: explicit workload field, then the spec's round cap, then
-/// the derived default.
+/// TTL precedence: explicit workload field, then the spec's round cap less
+/// the engine's 4-round slack, then the derived default.
 fn resolve_ttl(explicit: Option<u64>, ctx: &SimContext<'_>, derived: u64) -> u64 {
     explicit
         .or(ctx.max_rounds.map(|m| m.saturating_sub(4).max(1)))
         .unwrap_or(derived)
-}
-
-/// Map a worker-side wire failure to the sim error space.
-fn serve_error(start: usize, end: usize, e: netsim_runtime::wire::WireError) -> SimError {
-    SimError::Engine(RunError::Fleet(format!(
-        "shard session ({start}..{end}): {e}"
-    )))
 }
 
 fn workload_run<O: Copy>(
@@ -72,6 +85,12 @@ pub struct GeometricSupportWorkload {
     pub attack: AttackSpec,
 }
 
+impl GeometricSupportWorkload {
+    fn ttl(&self, ctx: &SimContext<'_>) -> u64 {
+        resolve_ttl(self.ttl, ctx, default_ttl(ctx.topology.len()))
+    }
+}
+
 impl Estimator for GeometricSupportWorkload {
     fn name(&self) -> &'static str {
         "geometric-support"
@@ -82,17 +101,14 @@ impl Estimator for GeometricSupportWorkload {
     }
 
     fn run(&self, ctx: &SimContext<'_>) -> Result<WorkloadRun, SimError> {
-        let ttl = resolve_ttl(self.ttl, ctx, default_ttl(ctx.topology.len()));
-        let result = run_geometric_support_fleet(
+        let attack = attack_from_spec(self.attack);
+        let result = run_geometric_support(
             ctx.topology,
             ctx.byzantine,
-            attack_from_spec(self.attack),
-            ttl,
+            attack,
+            self.ttl(ctx),
             ctx.seed,
-            ctx.build_fault_plan(),
-            ctx.engine,
-            ctx.recorder,
-            ctx.fleet,
+            ctx.exec(),
         )?;
         Ok(workload_run(Estimand::LogN, result, |v| v as f64))
     }
@@ -104,16 +120,9 @@ impl Estimator for GeometricSupportWorkload {
         end: usize,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
-        let ttl = resolve_ttl(self.ttl, ctx, default_ttl(ctx.topology.len()));
-        let nodes = geometric_support_nodes(
-            ctx.byzantine,
-            attack_from_spec(self.attack),
-            ttl,
-            cfg.start..end,
-        );
-        let byzantine = ctx.byzantine[cfg.start..end].to_vec();
-        serve_shard_session(ctx.topology, nodes, byzantine, cfg, chan)
-            .map_err(|e| serve_error(cfg.start, end, e))
+        let attack = attack_from_spec(self.attack);
+        let nodes = geometric_support_nodes(ctx.byzantine, attack, self.ttl(ctx), cfg.start..end);
+        ctx.serve_nodes(cfg, nodes, chan)
     }
 }
 
@@ -126,6 +135,12 @@ pub struct ExponentialSupportWorkload {
     pub attack: AttackSpec,
 }
 
+impl ExponentialSupportWorkload {
+    fn ttl(&self, ctx: &SimContext<'_>) -> u64 {
+        resolve_ttl(self.ttl, ctx, default_ttl(ctx.topology.len()))
+    }
+}
+
 impl Estimator for ExponentialSupportWorkload {
     fn name(&self) -> &'static str {
         "exponential-support"
@@ -136,17 +151,14 @@ impl Estimator for ExponentialSupportWorkload {
     }
 
     fn run(&self, ctx: &SimContext<'_>) -> Result<WorkloadRun, SimError> {
-        let ttl = resolve_ttl(self.ttl, ctx, default_ttl(ctx.topology.len()));
-        let result = run_exponential_support_fleet(
+        let attack = attack_from_spec(self.attack);
+        let result = run_exponential_support(
             ctx.topology,
             ctx.byzantine,
-            attack_from_spec(self.attack),
-            ttl,
+            attack,
+            self.ttl(ctx),
             ctx.seed,
-            ctx.build_fault_plan(),
-            ctx.engine,
-            ctx.recorder,
-            ctx.fleet,
+            ctx.exec(),
         )?;
         Ok(workload_run(Estimand::N, result, |v| v))
     }
@@ -158,16 +170,9 @@ impl Estimator for ExponentialSupportWorkload {
         end: usize,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
-        let ttl = resolve_ttl(self.ttl, ctx, default_ttl(ctx.topology.len()));
-        let nodes = exponential_support_nodes(
-            ctx.byzantine,
-            attack_from_spec(self.attack),
-            ttl,
-            cfg.start..end,
-        );
-        let byzantine = ctx.byzantine[cfg.start..end].to_vec();
-        serve_shard_session(ctx.topology, nodes, byzantine, cfg, chan)
-            .map_err(|e| serve_error(cfg.start, end, e))
+        let attack = attack_from_spec(self.attack);
+        let nodes = exponential_support_nodes(ctx.byzantine, attack, self.ttl(ctx), cfg.start..end);
+        ctx.serve_nodes(cfg, nodes, chan)
     }
 }
 
@@ -192,19 +197,18 @@ impl Estimator for SpanningTreeWorkload {
     fn run(&self, ctx: &SimContext<'_>) -> Result<WorkloadRun, SimError> {
         let n = ctx.topology.len();
         // Converge-cast needs roughly two traversals plus slack; trees and
-        // other high-diameter graphs get a cap linear in n.
+        // other high-diameter graphs get a cap linear in n.  Only the
+        // coordinator's engine needs the cap: worker nodes do not carry it.
         let derived = (4 * default_ttl(n)).max(2 * n as u64 + 8);
         let max_rounds = self.max_rounds.or(ctx.max_rounds).unwrap_or(derived);
-        let result = run_spanning_tree_count_fleet(
+        let attack = attack_from_spec(self.attack);
+        let result = run_spanning_tree_count(
             ctx.topology,
             ctx.byzantine,
-            attack_from_spec(self.attack),
+            attack,
             max_rounds,
             ctx.seed,
-            ctx.build_fault_plan(),
-            ctx.engine,
-            ctx.recorder,
-            ctx.fleet,
+            ctx.exec(),
         )?;
         Ok(workload_run(Estimand::N, result, |v| v as f64))
     }
@@ -216,11 +220,9 @@ impl Estimator for SpanningTreeWorkload {
         end: usize,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
-        let nodes =
-            spanning_tree_nodes(ctx.byzantine, attack_from_spec(self.attack), cfg.start..end);
-        let byzantine = ctx.byzantine[cfg.start..end].to_vec();
-        serve_shard_session(ctx.topology, nodes, byzantine, cfg, chan)
-            .map_err(|e| serve_error(cfg.start, end, e))
+        let attack = attack_from_spec(self.attack);
+        let nodes = spanning_tree_nodes(ctx.byzantine, attack, cfg.start..end);
+        ctx.serve_nodes(cfg, nodes, chan)
     }
 }
 
@@ -233,6 +235,13 @@ pub struct FloodDiameterWorkload {
     pub attack: AttackSpec,
 }
 
+impl FloodDiameterWorkload {
+    fn ttl(&self, ctx: &SimContext<'_>) -> u64 {
+        let n = ctx.topology.len();
+        resolve_ttl(self.ttl, ctx, default_ttl(n).max(n as u64))
+    }
+}
+
 impl Estimator for FloodDiameterWorkload {
     fn name(&self) -> &'static str {
         "flood-diameter"
@@ -243,18 +252,14 @@ impl Estimator for FloodDiameterWorkload {
     }
 
     fn run(&self, ctx: &SimContext<'_>) -> Result<WorkloadRun, SimError> {
-        let n = ctx.topology.len();
-        let ttl = resolve_ttl(self.ttl, ctx, default_ttl(n).max(n as u64));
-        let result = run_flood_diameter_fleet(
+        let attack = attack_from_spec(self.attack);
+        let result = run_flood_diameter(
             ctx.topology,
             ctx.byzantine,
-            attack_from_spec(self.attack),
-            ttl,
+            attack,
+            self.ttl(ctx),
             ctx.seed,
-            ctx.build_fault_plan(),
-            ctx.engine,
-            ctx.recorder,
-            ctx.fleet,
+            ctx.exec(),
         )?;
         Ok(workload_run(Estimand::Diameter, result, |v| v as f64))
     }
@@ -266,17 +271,9 @@ impl Estimator for FloodDiameterWorkload {
         end: usize,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
-        let n = ctx.topology.len();
-        let ttl = resolve_ttl(self.ttl, ctx, default_ttl(n).max(n as u64));
-        let nodes = flood_diameter_nodes(
-            ctx.byzantine,
-            attack_from_spec(self.attack),
-            ttl,
-            cfg.start..end,
-        );
-        let byzantine = ctx.byzantine[cfg.start..end].to_vec();
-        serve_shard_session(ctx.topology, nodes, byzantine, cfg, chan)
-            .map_err(|e| serve_error(cfg.start, end, e))
+        let attack = attack_from_spec(self.attack);
+        let nodes = flood_diameter_nodes(ctx.byzantine, attack, self.ttl(ctx), cfg.start..end);
+        ctx.serve_nodes(cfg, nodes, chan)
     }
 }
 

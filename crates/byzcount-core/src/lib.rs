@@ -42,15 +42,25 @@
 //! assert!(report.completed);
 //! ```
 //!
-//! The direct runners remain for protocol-level work:
+//! The direct runner [`run_counting`] remains for protocol-level work:
 //!
 //! ```
-//! use byzcount_core::{run_basic_counting, ProtocolParams};
+//! use byzcount_core::{run_counting, Counting, ProtocolParams};
 //! use netsim_graph::SmallWorldNetwork;
+//! use netsim_runtime::{Exec, NullAdversary};
 //!
 //! let net = SmallWorldNetwork::generate_seeded(256, 8, 1).unwrap();
 //! let params = ProtocolParams::for_network_default_expansion(&net, 0.6, 0.1);
-//! let outcome = run_basic_counting(&net, &params, 42);
+//! let honest = vec![false; 256];
+//! let outcome = run_counting(
+//!     &net,
+//!     Counting::basic(params),
+//!     &honest,
+//!     NullAdversary,
+//!     42,
+//!     Exec::default(),
+//! )
+//! .unwrap();
 //! let eval = outcome.evaluate();
 //! assert!(eval.good_fraction_of_honest > 0.9);
 //! ```
@@ -71,10 +81,6 @@ pub use messages::CountingMessage;
 pub use node::{CountingNode, Decision};
 pub use outcome::{CountingOutcome, EstimateEvaluation};
 pub use params::ProtocolParams;
-pub use runner::{
-    round_cap, run_basic_counting, run_basic_counting_on, run_basic_counting_on_with,
-    run_basic_counting_with, run_counting_custom, run_counting_faulty, run_counting_on,
-    run_counting_with,
-};
+pub use runner::{round_cap, run_counting, Counting};
 pub use schedule::{PhasePosition, Position, Schedule, DISCOVERY_ROUNDS};
 pub use sim::{Simulation, SimulationBuilder};

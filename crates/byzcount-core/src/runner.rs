@@ -1,42 +1,69 @@
-//! Convenience runners: wire a network, parameters, a Byzantine mask and an
-//! adversary into the synchronous engine and collect a [`CountingOutcome`].
+//! One-call execution: wire a network, a [`Counting`] choice, a Byzantine
+//! mask and an adversary into an engine and collect a [`CountingOutcome`].
 
 use crate::node::{CountingNode, Decision};
 use crate::outcome::CountingOutcome;
 use crate::params::ProtocolParams;
 use crate::schedule::Schedule;
-use netsim_faults::FaultPlan;
-use netsim_graph::SmallWorldNetwork;
-use netsim_runtime::{
-    run_with_engine_fleet, Adversary, EngineConfig, EngineKind, NullAdversary, Recorder,
-    RemoteFleet, RunError, Topology,
-};
+use netsim_runtime::{run_with_engine, Adversary, EngineConfig, Exec, RunError, Topology};
 
 /// How many phases past the reference decision phase the engine allows
 /// before giving up (safety cap; honest runs finish well before it).
 const PHASE_SLACK_FACTOR: f64 = 3.0;
 const PHASE_SLACK_EXTRA: u64 = 8;
 
-/// Build the per-node protocol states for global node ids `range`.
-///
-/// The full run is `0..n`; shard workers build only their assigned chunk.
-/// Construction is a pure function of `(params, verify)` per node, so a
-/// chunk built remotely is identical to the coordinator's slice — the
-/// distributed engine's byte-identity contract depends on this.
-pub fn counting_nodes(
-    params: &ProtocolParams,
-    verify: bool,
-    range: std::ops::Range<usize>,
-) -> Vec<CountingNode> {
-    range
-        .map(|_| {
-            if verify {
-                CountingNode::byzantine_variant(*params)
-            } else {
-                CountingNode::basic_variant(*params)
-            }
-        })
-        .collect()
+/// Which counting protocol a run executes, and under what round cap.
+#[derive(Clone, Copy, Debug)]
+pub struct Counting {
+    /// The protocol parameters.
+    pub params: ProtocolParams,
+    /// `true` runs Algorithm 2 (Byzantine-tolerant, with verification);
+    /// `false` runs Algorithm 1.
+    pub verify: bool,
+    /// Engine round cap; `None` derives it from the schedule
+    /// ([`round_cap`]).  The simulation API sets it for workloads on
+    /// non-expander topologies, where the analytic cap may not apply.
+    pub max_rounds: Option<u64>,
+}
+
+impl Counting {
+    /// Algorithm 1 (no verification) under the schedule-derived round cap.
+    pub fn basic(params: ProtocolParams) -> Self {
+        Counting {
+            params,
+            verify: false,
+            max_rounds: None,
+        }
+    }
+
+    /// Algorithm 2 (Byzantine-tolerant) under the schedule-derived round
+    /// cap.
+    pub fn byzantine(params: ProtocolParams) -> Self {
+        Counting {
+            params,
+            verify: true,
+            max_rounds: None,
+        }
+    }
+
+    /// Build the per-node protocol states for global node ids `range`.
+    ///
+    /// The full run is `0..n`; shard workers build only their assigned
+    /// chunk.  Construction is a pure function of `(params, verify)` per
+    /// node, so a chunk built remotely is identical to the coordinator's
+    /// slice — the distributed engine's byte-identity contract depends on
+    /// this.
+    pub(crate) fn nodes(&self, range: std::ops::Range<usize>) -> Vec<CountingNode> {
+        range
+            .map(|_| {
+                if self.verify {
+                    CountingNode::byzantine_variant(self.params)
+                } else {
+                    CountingNode::basic_variant(self.params)
+                }
+            })
+            .collect()
+    }
 }
 
 /// Compute the engine round cap for a network of size `n`.
@@ -47,227 +74,20 @@ pub fn round_cap(params: &ProtocolParams, n: usize) -> u64 {
     schedule.rounds_through_phase(max_phase)
 }
 
-/// Run the *Byzantine* counting protocol (Algorithm 2) over any topology
-/// with an arbitrary adversary.
-pub fn run_counting_on<T, A>(
+/// Run a counting protocol over any topology with any adversary.
+///
+/// # Errors
+/// Only the distributed engine can fail; see [`run_with_engine`].
+///
+/// # Panics
+/// If `byzantine` does not cover every node.
+pub fn run_counting<T, A>(
     net: &T,
-    params: &ProtocolParams,
+    counting: Counting,
     byzantine: &[bool],
     adversary: A,
     seed: u64,
-) -> CountingOutcome
-where
-    T: Topology,
-    A: Adversary<CountingNode>,
-{
-    run_variant(net, params, byzantine, adversary, true, seed)
-}
-
-/// Run the *basic* counting protocol (Algorithm 1) over any topology without
-/// Byzantine nodes.
-pub fn run_basic_counting_on<T: Topology>(
-    net: &T,
-    params: &ProtocolParams,
-    seed: u64,
-) -> CountingOutcome {
-    let byzantine = vec![false; net.len()];
-    run_variant(net, params, &byzantine, NullAdversary, false, seed)
-}
-
-/// Run the basic protocol (no verification) over any topology but *with*
-/// Byzantine nodes and an adversary.
-pub fn run_basic_counting_on_with<T, A>(
-    net: &T,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    seed: u64,
-) -> CountingOutcome
-where
-    T: Topology,
-    A: Adversary<CountingNode>,
-{
-    run_variant(net, params, byzantine, adversary, false, seed)
-}
-
-/// Run the *Byzantine* counting protocol (Algorithm 2) with an arbitrary
-/// adversary.
-pub fn run_counting_with<A>(
-    net: &SmallWorldNetwork,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    seed: u64,
-) -> CountingOutcome
-where
-    A: Adversary<CountingNode>,
-{
-    run_counting_on(net, params, byzantine, adversary, seed)
-}
-
-/// Run the *basic* counting protocol (Algorithm 1) without Byzantine nodes.
-pub fn run_basic_counting(
-    net: &SmallWorldNetwork,
-    params: &ProtocolParams,
-    seed: u64,
-) -> CountingOutcome {
-    run_basic_counting_on(net, params, seed)
-}
-
-/// Run the basic protocol (no verification) but *with* Byzantine nodes and an
-/// adversary — used to demonstrate why Algorithm 1 alone is not
-/// Byzantine-tolerant.
-pub fn run_basic_counting_with<A>(
-    net: &SmallWorldNetwork,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    seed: u64,
-) -> CountingOutcome
-where
-    A: Adversary<CountingNode>,
-{
-    run_basic_counting_on_with(net, params, byzantine, adversary, seed)
-}
-
-fn run_variant<T, A>(
-    net: &T,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    verify: bool,
-    seed: u64,
-) -> CountingOutcome
-where
-    T: Topology,
-    A: Adversary<CountingNode>,
-{
-    run_counting_custom(net, params, byzantine, adversary, verify, seed, None)
-}
-
-/// Run either counting variant with full control: `verify` selects
-/// Algorithm 2 over Algorithm 1, and `max_rounds` overrides the
-/// schedule-derived round cap (the simulation API uses this for workloads
-/// on non-expander topologies, where the analytic cap may not apply).
-pub fn run_counting_custom<T, A>(
-    net: &T,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    verify: bool,
-    seed: u64,
-    max_rounds: Option<u64>,
-) -> CountingOutcome
-where
-    T: Topology,
-    A: Adversary<CountingNode>,
-{
-    run_counting_faulty(
-        net, params, byzantine, adversary, verify, seed, max_rounds, None,
-    )
-}
-
-/// [`run_counting_custom`] with an optional network [`FaultPlan`] installed
-/// on the engine: honest traffic may be lost, delayed or deferred, and
-/// honest nodes may churn in and out.
-#[allow(clippy::too_many_arguments)]
-pub fn run_counting_faulty<T, A>(
-    net: &T,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    verify: bool,
-    seed: u64,
-    max_rounds: Option<u64>,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-) -> CountingOutcome
-where
-    T: Topology,
-    A: Adversary<CountingNode>,
-{
-    run_counting_engine(
-        net,
-        params,
-        byzantine,
-        adversary,
-        verify,
-        seed,
-        max_rounds,
-        fault_plan,
-        EngineKind::Sync,
-    )
-}
-
-/// [`run_counting_faulty`] with an explicit [`EngineKind`]: the classic
-/// engine or the sharded engine with a given shard count.  The engine
-/// choice is execution policy only — outcomes are byte-identical for equal
-/// inputs, whichever engine runs them.
-#[allow(clippy::too_many_arguments)]
-pub fn run_counting_engine<T, A>(
-    net: &T,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    verify: bool,
-    seed: u64,
-    max_rounds: Option<u64>,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-) -> CountingOutcome
-where
-    T: Topology,
-    A: Adversary<CountingNode>,
-{
-    run_counting_recorded(
-        net, params, byzantine, adversary, verify, seed, max_rounds, fault_plan, engine, None,
-    )
-}
-
-/// [`run_counting_engine`] with an optional [`Recorder`] observing the run.
-/// Recorders are observation-only: the outcome is byte-identical with any
-/// recorder installed or none.
-#[allow(clippy::too_many_arguments)]
-pub fn run_counting_recorded<T, A>(
-    net: &T,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    verify: bool,
-    seed: u64,
-    max_rounds: Option<u64>,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-) -> CountingOutcome
-where
-    T: Topology,
-    A: Adversary<CountingNode>,
-{
-    run_counting_fleet(
-        net, params, byzantine, adversary, verify, seed, max_rounds, fault_plan, engine, recorder,
-        None,
-    )
-    .expect("in-process engines are infallible")
-}
-
-/// [`run_counting_recorded`] with an optional [`RemoteFleet`]: when the
-/// engine is distributed and a fleet is given, shard workers are dialed
-/// over sockets instead of spawned as in-process threads.  This is the
-/// only counting runner that can fail — every wire mishap surfaces as a
-/// [`RunError`] instead of a panic.
-#[allow(clippy::too_many_arguments)]
-pub fn run_counting_fleet<T, A>(
-    net: &T,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    verify: bool,
-    seed: u64,
-    max_rounds: Option<u64>,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-    fleet: Option<&RemoteFleet>,
+    exec: Exec<'_>,
 ) -> Result<CountingOutcome, RunError>
 where
     T: Topology,
@@ -275,22 +95,19 @@ where
 {
     let n = net.len();
     assert_eq!(byzantine.len(), n, "byzantine mask must cover every node");
-    let nodes = counting_nodes(params, verify, 0..n);
+    let params = counting.params;
     let config = EngineConfig {
-        max_rounds: max_rounds.unwrap_or_else(|| round_cap(params, n)),
+        max_rounds: counting.max_rounds.unwrap_or_else(|| round_cap(&params, n)),
         stop_when_all_decided: true,
     };
-    let result = run_with_engine_fleet(
-        engine,
+    let result = run_with_engine(
         net,
-        nodes,
+        counting.nodes(0..n),
         byzantine.to_vec(),
         adversary,
         config,
         seed,
-        fault_plan,
-        recorder,
-        fleet,
+        exec,
     )?;
     Ok(CountingOutcome {
         n,
@@ -302,7 +119,7 @@ where
         decided_round: result.decided_round,
         crashed: result.crashed,
         byzantine: byzantine.to_vec(),
-        params: *params,
+        params,
         metrics: result.metrics,
         completed: result.completed,
     })
@@ -311,6 +128,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim_graph::SmallWorldNetwork;
+    use netsim_runtime::NullAdversary;
+
+    fn run(net: &SmallWorldNetwork, counting: Counting, seed: u64) -> CountingOutcome {
+        let byz = vec![false; net.len()];
+        run_counting(net, counting, &byz, NullAdversary, seed, Exec::default()).unwrap()
+    }
 
     #[test]
     fn round_cap_grows_with_n() {
@@ -323,7 +147,7 @@ mod tests {
     fn basic_counting_on_a_small_network_terminates_correctly() {
         let net = SmallWorldNetwork::generate_seeded(256, 8, 1).unwrap();
         let params = ProtocolParams::for_network_default_expansion(&net, 0.6, 0.1);
-        let outcome = run_basic_counting(&net, &params, 7);
+        let outcome = run(&net, Counting::basic(params), 7);
         assert!(
             outcome.completed,
             "all nodes must decide within the round cap"
@@ -345,8 +169,7 @@ mod tests {
     fn byzantine_variant_without_faults_matches_basic() {
         let net = SmallWorldNetwork::generate_seeded(256, 8, 2).unwrap();
         let params = ProtocolParams::for_network_default_expansion(&net, 0.6, 0.1);
-        let byz = vec![false; net.len()];
-        let outcome = run_counting_with(&net, &params, &byz, NullAdversary, 3);
+        let outcome = run(&net, Counting::byzantine(params), 3);
         assert!(outcome.completed);
         let eval = outcome.evaluate();
         assert_eq!(
@@ -359,13 +182,15 @@ mod tests {
     #[test]
     fn estimates_scale_with_network_size() {
         // The decided phase must grow with n: that is what makes it an
-        // estimate of log n at all.
-        let small = SmallWorldNetwork::generate_seeded(128, 8, 4).unwrap();
-        let large = SmallWorldNetwork::generate_seeded(2048, 8, 4).unwrap();
+        // estimate of log n at all.  The smallest even degree and one
+        // doubling of n already show it; `tests/theorem1_end_to_end.rs`
+        // checks the same invariant at d = 6 and larger sizes.
+        let small = SmallWorldNetwork::generate_seeded(16, 4, 4).unwrap();
+        let large = SmallWorldNetwork::generate_seeded(32, 4, 4).unwrap();
         let ps = ProtocolParams::for_network_default_expansion(&small, 0.6, 0.1);
         let pl = ProtocolParams::for_network_default_expansion(&large, 0.6, 0.1);
-        let es = run_basic_counting(&small, &ps, 5).evaluate();
-        let el = run_basic_counting(&large, &pl, 5).evaluate();
+        let es = run(&small, Counting::basic(ps), 5).evaluate();
+        let el = run(&large, Counting::basic(pl), 5).evaluate();
         assert!(
             el.mean_estimate > es.mean_estimate,
             "mean estimate must grow with n ({} vs {})",
@@ -379,6 +204,13 @@ mod tests {
     fn mask_length_is_checked() {
         let net = SmallWorldNetwork::generate_seeded(64, 8, 6).unwrap();
         let params = ProtocolParams::for_network_default_expansion(&net, 0.6, 0.1);
-        let _ = run_counting_with(&net, &params, &[false; 3], NullAdversary, 0);
+        let _ = run_counting(
+            &net,
+            Counting::byzantine(params),
+            &[false; 3],
+            NullAdversary,
+            0,
+            Exec::default(),
+        );
     }
 }

@@ -176,25 +176,18 @@ impl PreparedRun {
     /// Execute the workload (node construction + round loop) and assemble
     /// the report.  Deterministic: every call returns the same report.
     pub fn execute(&self, registry: &dyn ScenarioRegistry) -> Result<RunReport, SimError> {
-        self.execute_recorded(registry, None)
+        self.execute_fleet(registry, None, None)
     }
 
     /// [`execute`](Self::execute) with an optional [`Recorder`] observing
-    /// the run.  Observation-only: the report is byte-identical with any
-    /// recorder installed or none (locked down by the trace test suite).
-    pub fn execute_recorded(
-        &self,
-        registry: &dyn ScenarioRegistry,
-        recorder: Option<&dyn Recorder>,
-    ) -> Result<RunReport, SimError> {
-        self.execute_fleet(registry, recorder, None)
-    }
-
-    /// [`execute_recorded`](Self::execute_recorded) with an optional remote
-    /// shard-worker fleet for the distributed engine.  Pure transport
-    /// policy: the report is byte-identical whether shard workers run as
-    /// in-process threads (`fleet` = `None` or empty) or remote
-    /// `shard-worker` processes — the spec never records the transport.
+    /// the run and an optional remote shard-worker fleet for the
+    /// distributed engine.
+    ///
+    /// Both are observation or transport policy only: the report is
+    /// byte-identical with any recorder installed or none (locked down by
+    /// the trace test suite), and whether shard workers run as in-process
+    /// threads (`fleet` = `None` or empty) or remote `shard-worker`
+    /// processes — the spec never records either.
     pub fn execute_fleet(
         &self,
         registry: &dyn ScenarioRegistry,
@@ -202,7 +195,24 @@ impl PreparedRun {
         fleet: Option<&RemoteFleet>,
     ) -> Result<RunReport, SimError> {
         let estimator = registry.estimator(&self.spec, &self.params)?;
-        let ctx = SimContext {
+        let run = estimator.run(&self.context(recorder, fleet))?;
+        Ok(RunReport::from_run(
+            self.spec.clone(),
+            &self.byzantine,
+            &run,
+        ))
+    }
+
+    /// The estimator context for this run.  The coordinator
+    /// ([`execute_fleet`](Self::execute_fleet)) and every shard worker
+    /// ([`serve_shard_conn`]) build it here, so both derive the same seeds
+    /// and engine inputs from the spec.
+    fn context<'a>(
+        &'a self,
+        recorder: Option<&'a dyn Recorder>,
+        fleet: Option<&'a RemoteFleet>,
+    ) -> SimContext<'a> {
+        SimContext {
             topology: &self.topology,
             byzantine: &self.byzantine,
             seed: derive_seed(self.spec.seed, seed_stream::RUN),
@@ -212,13 +222,7 @@ impl PreparedRun {
             engine: self.spec.engine.kind(),
             recorder,
             fleet,
-        };
-        let run = estimator.run(&ctx)?;
-        Ok(RunReport::from_run(
-            self.spec.clone(),
-            &self.byzantine,
-            &run,
-        ))
+        }
     }
 
     /// Describe a remote shard-worker fleet for this run: the assignment
@@ -275,19 +279,8 @@ pub fn serve_shard_conn(
         )));
     }
     let estimator = registry.estimator(&prepared.spec, &prepared.params)?;
-    let ctx = SimContext {
-        topology: &prepared.topology,
-        byzantine: &prepared.byzantine,
-        seed: derive_seed(prepared.spec.seed, seed_stream::RUN),
-        max_rounds: prepared.spec.max_rounds,
-        fault: &prepared.spec.fault,
-        fault_seed: derive_seed(prepared.spec.seed, seed_stream::FAULTS),
-        engine: prepared.spec.engine.kind(),
-        recorder: None,
-        fleet: None,
-    };
     let cfg = ShardServeConfig::from_assignment(&assignment);
-    estimator.serve_shard(&ctx, &cfg, end, stream)
+    estimator.serve_shard(&prepared.context(None, None), &cfg, end, stream)
 }
 
 /// A [`WireError`] surfaced while serving a shard connection, as a
@@ -304,39 +297,20 @@ pub fn execute_spec(
     PreparedRun::new(spec)?.execute(registry)
 }
 
-/// [`execute_spec`] with an optional [`Recorder`] observing the run.
-pub fn execute_spec_recorded(
-    spec: &RunSpec,
-    registry: &dyn ScenarioRegistry,
-    recorder: Option<&dyn Recorder>,
-) -> Result<RunReport, SimError> {
-    PreparedRun::new(spec)?.execute_recorded(registry, recorder)
-}
-
 /// Execute a whole [`BatchSpec`] through a registry, runs in parallel.
 pub fn execute_batch(
     spec: &BatchSpec,
     registry: &dyn ScenarioRegistry,
 ) -> Result<BatchReport, SimError> {
-    execute_batch_recorded(spec, registry, None)
+    execute_batch_workers(spec, registry, None, &[])
 }
 
-/// [`execute_batch`] with an optional [`Recorder`] shared by every run in
-/// the batch (recorders are `Sync`; runs execute in parallel).
-pub fn execute_batch_recorded(
-    spec: &BatchSpec,
-    registry: &dyn ScenarioRegistry,
-    recorder: Option<&dyn Recorder>,
-) -> Result<BatchReport, SimError> {
-    execute_batch_workers(spec, registry, recorder, &[])
-}
-
-/// [`execute_spec_recorded`] dialing a remote shard-worker fleet for
-/// distributed-engine runs: each run's shard sessions connect to
-/// `workers` (shard `s` dials `workers[s % len]`) instead of spawning
-/// in-process pipe threads.  An empty list is the in-process fallback.
-/// Pure transport policy: the report is byte-identical either way, and
-/// the spec never records the transport.
+/// [`execute_spec`] with an optional [`Recorder`] observing the run and a
+/// remote shard-worker fleet for distributed-engine runs: each run's shard
+/// sessions connect to `workers` (shard `s` dials `workers[s % len]`)
+/// instead of spawning in-process pipe threads.  An empty list is the
+/// in-process fallback.  Pure observation and transport policy: the report
+/// is byte-identical either way, and the spec never records either.
 pub fn execute_spec_workers(
     spec: &RunSpec,
     registry: &dyn ScenarioRegistry,
@@ -352,7 +326,8 @@ pub fn execute_spec_workers(
     }
 }
 
-/// [`execute_batch_recorded`] dialing a remote shard-worker fleet (see
+/// [`execute_batch`] with an optional [`Recorder`] shared by every run
+/// (recorders are `Sync`) and a remote shard-worker fleet (see
 /// [`execute_spec_workers`]).  Runs still execute in parallel; each run
 /// opens its own shard sessions against the shared worker addresses.
 pub fn execute_batch_workers(
@@ -595,12 +570,12 @@ impl Simulation {
 
     /// Execute a single run through an explicit registry.
     pub fn run_with(&self, registry: &dyn ScenarioRegistry) -> Result<RunReport, SimError> {
-        execute_spec_recorded(&self.run, registry, self.recorder())
+        execute_spec_workers(&self.run, registry, self.recorder(), &[])
     }
 
     /// Execute the batch through an explicit registry (parallel over runs).
     pub fn run_batch_with(&self, registry: &dyn ScenarioRegistry) -> Result<BatchReport, SimError> {
-        execute_batch_recorded(&self.batch_spec(), registry, self.recorder())
+        execute_batch_workers(&self.batch_spec(), registry, self.recorder(), &[])
     }
 
     /// Execute a single run with the core-only registry (counting workloads,

@@ -10,14 +10,14 @@
 use crate::node::CountingNode;
 use crate::outcome::CountingOutcome;
 use crate::params::ProtocolParams;
-use crate::runner;
+use crate::runner::{run_counting, Counting};
 use crate::sim::error::SimError;
 use crate::sim::spec::BuiltTopology;
-use netsim_faults::{FaultPlan, FaultSpec};
-use netsim_runtime::wire::IoStream;
+use netsim_faults::FaultSpec;
+use netsim_runtime::wire::{IoStream, Wire};
 use netsim_runtime::{
-    Adversary, EngineKind, NullAdversary, Recorder, RemoteFleet, RunError, RunMetrics,
-    ShardServeConfig,
+    serve_shard_session, Adversary, EngineKind, Exec, NullAdversary, Protocol, Recorder,
+    RemoteFleet, RunError, RunMetrics, ShardServeConfig,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -73,17 +73,49 @@ pub struct SimContext<'a> {
     pub fleet: Option<&'a RemoteFleet>,
 }
 
-impl SimContext<'_> {
-    /// Materialize the context's [`FaultSpec`] into an engine-ready plan
-    /// (`None` when the spec is fault-free).  Churn eligibility is the
-    /// honest complement of the Byzantine mask.
-    pub fn build_fault_plan(&self) -> Option<Box<dyn FaultPlan>> {
-        if self.fault.is_none() {
-            return None;
+impl<'a> SimContext<'a> {
+    /// The engine inputs for this run: the context's engine, recorder and
+    /// fleet, plus its [`FaultSpec`] materialized into a fresh plan (`None`
+    /// when the spec is fault-free).  Churn eligibility is the honest
+    /// complement of the Byzantine mask.
+    pub fn exec(&self) -> Exec<'a> {
+        let fault_plan = if self.fault.is_none() {
+            None
+        } else {
+            let honest: Vec<bool> = self.byzantine.iter().map(|b| !b).collect();
+            self.fault
+                .build_plan(self.topology.len(), &honest, self.fault_seed)
+        };
+        Exec {
+            engine: self.engine,
+            fault_plan,
+            recorder: self.recorder,
+            fleet: self.fleet,
         }
-        let honest: Vec<bool> = self.byzantine.iter().map(|b| !b).collect();
-        self.fault
-            .build_plan(self.topology.len(), &honest, self.fault_seed)
+    }
+
+    /// Serve one shard-worker session over `nodes`, the freshly built
+    /// states for global ids `cfg.start..cfg.start + nodes.len()` — the
+    /// shared body of every [`Estimator::serve_shard`].
+    pub fn serve_nodes<P>(
+        &self,
+        cfg: &ShardServeConfig,
+        nodes: Vec<P>,
+        chan: &mut IoStream,
+    ) -> Result<(), SimError>
+    where
+        P: Protocol + Clone,
+        P::Message: Wire,
+        P::Output: Wire,
+    {
+        let end = cfg.start + nodes.len();
+        let byzantine = self.byzantine[cfg.start..end].to_vec();
+        serve_shard_session(self.topology, nodes, byzantine, cfg, chan).map_err(|e| {
+            SimError::Engine(RunError::Fleet(format!(
+                "shard session ({}..{end}): {e}",
+                cfg.start
+            )))
+        })
     }
 }
 
@@ -213,6 +245,16 @@ impl CountingEstimator {
     pub fn params(&self) -> &ProtocolParams {
         &self.params
     }
+
+    /// The protocol choice and round cap shared by [`Estimator::run`] and
+    /// [`Estimator::serve_shard`].
+    fn counting(&self, ctx: &SimContext<'_>) -> Counting {
+        Counting {
+            params: self.params,
+            verify: self.verify,
+            max_rounds: ctx.max_rounds,
+        }
+    }
 }
 
 impl Estimator for CountingEstimator {
@@ -230,18 +272,13 @@ impl Estimator for CountingEstimator {
 
     fn run(&self, ctx: &SimContext<'_>) -> Result<WorkloadRun, SimError> {
         let adversary = self.adversary.build(ctx, &self.params)?;
-        let outcome = runner::run_counting_fleet(
+        let outcome = run_counting(
             ctx.topology,
-            &self.params,
+            self.counting(ctx),
             ctx.byzantine,
             adversary,
-            self.verify,
             ctx.seed,
-            ctx.max_rounds,
-            ctx.build_fault_plan(),
-            ctx.engine,
-            ctx.recorder,
-            ctx.fleet,
+            ctx.exec(),
         )?;
         Ok(WorkloadRun {
             estimand: Estimand::LogN,
@@ -264,16 +301,7 @@ impl Estimator for CountingEstimator {
         end: usize,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
-        let nodes = runner::counting_nodes(&self.params, self.verify, cfg.start..end);
-        let byzantine = ctx.byzantine[cfg.start..end].to_vec();
-        netsim_runtime::serve_shard_session(ctx.topology, nodes, byzantine, cfg, chan).map_err(
-            |e| {
-                SimError::Engine(RunError::Fleet(format!(
-                    "shard session ({}..{end}): {e}",
-                    cfg.start
-                )))
-            },
-        )
+        ctx.serve_nodes(cfg, self.counting(ctx).nodes(cfg.start..end), chan)
     }
 }
 

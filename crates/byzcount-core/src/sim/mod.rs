@@ -32,10 +32,9 @@ mod report;
 mod spec;
 
 pub use builder::{
-    execute_batch, execute_batch_recorded, execute_batch_workers, execute_spec,
-    execute_spec_recorded, execute_spec_workers, serve_shard_conn, shard_serve_error, CoreRegistry,
-    PreparedRun, RecorderHandle, ScenarioRegistry, Simulation, SimulationBuilder,
-    SHARD_HELLO_TIMEOUT,
+    execute_batch, execute_batch_workers, execute_spec, execute_spec_workers, serve_shard_conn,
+    shard_serve_error, CoreRegistry, PreparedRun, RecorderHandle, ScenarioRegistry, Simulation,
+    SimulationBuilder, SHARD_HELLO_TIMEOUT,
 };
 pub use error::SimError;
 pub use estimator::{
@@ -54,7 +53,7 @@ pub use spec::{
 /// the async engine's per-node clock model (re-exported from
 /// [`netsim_runtime`]).
 pub use netsim_runtime::{
-    ClockPlan, EngineKind, NoopRecorder, Recorder, RemoteFleet, RunError, ShardServeConfig,
+    ClockPlan, EngineKind, Exec, NoopRecorder, Recorder, RemoteFleet, RunError, ShardServeConfig,
 };
 
 /// The fault layer's serializable description, embedded in every

@@ -301,6 +301,12 @@ pub enum AttackSpec {
 }
 
 /// What to execute over the topology.
+///
+/// A TTL baseline's engine round cap is `ttl + 4`.  When a baseline's own
+/// horizon field is `None` and [`RunSpec::max_rounds`] is set, that cap
+/// wins over the value derived from `n` below (a TTL baseline then floods
+/// for `max(max_rounds − 4, 1)` rounds).  `byzcount_baselines::workloads`
+/// resolves every horizon in one place and documents the precedence.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum WorkloadSpec {
     /// Algorithm 1 (counting without verification).
@@ -309,28 +315,29 @@ pub enum WorkloadSpec {
     Byzantine,
     /// Geometric support estimation baseline (estimates `log₂ n`).
     GeometricSupport {
-        /// Flooding horizon; `None` derives `3·log₂ n + 5`.
+        /// Flooding horizon; `None` derives `⌈3·log₂ n⌉ + 5`.
         ttl: Option<u64>,
         /// Byzantine behaviour.
         attack: AttackSpec,
     },
     /// Exponential support estimation baseline (estimates `n`).
     ExponentialSupport {
-        /// Flooding horizon; `None` derives `3·log₂ n + 5`.
+        /// Flooding horizon; `None` derives `⌈3·log₂ n⌉ + 5`.
         ttl: Option<u64>,
         /// Byzantine behaviour.
         attack: AttackSpec,
     },
     /// BFS spanning-tree + converge-cast exact count (estimates `n`).
     SpanningTree {
-        /// Round cap; `None` derives `12·log₂ n + 20`.
+        /// Engine round cap; `None` derives `max(4·(⌈3·log₂ n⌉ + 5), 2n + 8)`
+        /// (linear in `n`: 4,104 rounds at `n = 2048`).
         max_rounds: Option<u64>,
         /// Byzantine behaviour.
         attack: AttackSpec,
     },
     /// Leader flood, first-arrival round as a diameter proxy.
     FloodDiameter {
-        /// Flooding horizon; `None` derives `3·log₂ n + 5`.
+        /// Flooding horizon; `None` derives `max(⌈3·log₂ n⌉ + 5, n)`.
         ttl: Option<u64>,
         /// Byzantine behaviour.
         attack: AttackSpec,
@@ -895,7 +902,9 @@ pub struct RunSpec {
     /// Master seed; topology, placement and execution use independent
     /// sub-streams derived from it.
     pub seed: u64,
-    /// Engine round-cap override (`None` = derive from the schedule).
+    /// Engine round-cap override (`None` = derive from the counting
+    /// schedule, or from the baseline's horizon; see [`WorkloadSpec`]).
+    /// A baseline workload's own horizon field takes precedence.
     pub max_rounds: Option<u64>,
 }
 

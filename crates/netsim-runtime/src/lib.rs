@@ -64,10 +64,7 @@ pub use message::{Envelope, MessageSize, SizedMessage};
 pub use metrics::RunMetrics;
 pub use node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
 pub use ring::DelayRing;
-pub use sharded::{
-    run_with_engine, run_with_engine_fleet, run_with_engine_recorded, shard_bounds, EngineKind,
-    ShardedSyncEngine,
-};
+pub use sharded::{run_with_engine, shard_bounds, EngineKind, Exec, ShardedSyncEngine};
 pub use sharded_async::ShardedAsyncEngine;
 pub use topology::Topology;
 
@@ -101,10 +98,7 @@ pub mod prelude {
     pub use crate::message::{Envelope, MessageSize, SizedMessage};
     pub use crate::metrics::RunMetrics;
     pub use crate::node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
-    pub use crate::sharded::{
-        run_with_engine, run_with_engine_fleet, run_with_engine_recorded, EngineKind,
-        ShardedSyncEngine,
-    };
+    pub use crate::sharded::{run_with_engine, EngineKind, Exec, ShardedSyncEngine};
     pub use crate::sharded_async::ShardedAsyncEngine;
     pub use crate::topology::Topology;
     pub use netsim_faults::{ChurnEvent, EnvelopeFate, FaultPlan, FaultSpec, NoFaults};

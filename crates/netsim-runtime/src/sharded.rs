@@ -128,7 +128,25 @@ pub fn shard_bounds(n: usize, shards: usize) -> Vec<usize> {
     (0..=s).map(|i| i * n / s).collect()
 }
 
-/// Run a protocol through the engine selected by `kind`.
+/// How a run executes: the engine, plus the optional inputs every engine
+/// accepts.  `Exec::default()` is the plain [`SyncEngine`] run with no
+/// fault plan, recorder or fleet.
+#[derive(Default)]
+pub struct Exec<'a> {
+    /// Which engine implementation drives the run.
+    pub engine: EngineKind,
+    /// Network faults applied to honest traffic (loss, delay, churn).
+    pub fault_plan: Option<Box<dyn FaultPlan>>,
+    /// Observer for phase spans, counters and gauges.  Recorders observe,
+    /// they never steer: the result is byte-identical with or without one.
+    pub recorder: Option<&'a dyn Recorder>,
+    /// Remote shard-worker processes for the distributed engine.  Pure
+    /// transport policy, ignored by every other engine: results are
+    /// byte-identical across transports.
+    pub fleet: Option<&'a crate::distributed::RemoteFleet>,
+}
+
+/// Run a protocol through the engine `exec` selects.
 ///
 /// This is the single dispatch point the spec-driven runners (counting and
 /// all baselines) go through, so an engine knob in a `RunSpec` reaches
@@ -137,17 +155,15 @@ pub fn shard_bounds(n: usize, shards: usize) -> Vec<usize> {
 /// # Errors
 /// Only the distributed engine can fail (a lost worker channel surfaces
 /// as [`RunError`](crate::distributed::RunError)); every in-process engine
-/// is infallible and always returns `Ok`.
-#[allow(clippy::too_many_arguments)]
+/// always returns `Ok`.
 pub fn run_with_engine<T, P, A>(
-    kind: EngineKind,
     topology: &T,
     states: Vec<P>,
     byzantine: Vec<bool>,
     adversary: A,
     config: EngineConfig,
     seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
+    exec: Exec<'_>,
 ) -> Result<RunResult<P::Output>, crate::distributed::RunError>
 where
     T: Topology,
@@ -156,71 +172,13 @@ where
     P::Message: netsim_wire::Wire,
     A: Adversary<P>,
 {
-    run_with_engine_recorded(
-        kind, topology, states, byzantine, adversary, config, seed, fault_plan, None,
-    )
-}
-
-/// [`run_with_engine`] with an optional [`Recorder`] attached to whichever
-/// engine `kind` selects.
-///
-/// This is the observability entry point: with `recorder = None` it is
-/// exactly `run_with_engine` (the recorder field stays `None` and every
-/// instrumentation site is a single never-taken branch per phase
-/// boundary), and the run result is byte-identical either way — recorders
-/// observe, they never steer.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_engine_recorded<T, P, A>(
-    kind: EngineKind,
-    topology: &T,
-    states: Vec<P>,
-    byzantine: Vec<bool>,
-    adversary: A,
-    config: EngineConfig,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    recorder: Option<&dyn Recorder>,
-) -> Result<RunResult<P::Output>, crate::distributed::RunError>
-where
-    T: Topology,
-    P: Protocol + Clone + Send + Sync + 'static,
-    P::Output: Send + netsim_wire::Wire,
-    P::Message: netsim_wire::Wire,
-    A: Adversary<P>,
-{
-    run_with_engine_fleet(
-        kind, topology, states, byzantine, adversary, config, seed, fault_plan, recorder, None,
-    )
-}
-
-/// [`run_with_engine_recorded`] with an optional remote worker
-/// [`RemoteFleet`](crate::distributed::RemoteFleet).
-///
-/// The fleet is a *transport* knob for the distributed engine only: with
-/// `kind = Distributed` and a non-empty fleet, workers are dialed as
-/// separate processes; every other engine kind ignores it (they have no
-/// workers to place), and results are byte-identical across transports.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_engine_fleet<T, P, A>(
-    kind: EngineKind,
-    topology: &T,
-    states: Vec<P>,
-    byzantine: Vec<bool>,
-    adversary: A,
-    config: EngineConfig,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    recorder: Option<&dyn Recorder>,
-    fleet: Option<&crate::distributed::RemoteFleet>,
-) -> Result<RunResult<P::Output>, crate::distributed::RunError>
-where
-    T: Topology,
-    P: Protocol + Clone + Send + Sync + 'static,
-    P::Output: Send + netsim_wire::Wire,
-    P::Message: netsim_wire::Wire,
-    A: Adversary<P>,
-{
-    match kind {
+    let Exec {
+        engine,
+        fault_plan,
+        recorder,
+        fleet,
+    } = exec;
+    match engine {
         EngineKind::Sync => Ok(SyncEngine::new(
             topology, states, byzantine, adversary, config, seed,
         )
@@ -1309,16 +1267,18 @@ mod tests {
     fn run_with_engine_dispatches_both_kinds_identically() {
         let n = 12;
         let g = line_graph(n);
-        let run = |kind: EngineKind| {
+        let run = |engine: EngineKind| {
             run_with_engine(
-                kind,
                 &g,
                 flood_states(n, 40),
                 vec![false; n],
                 NullAdversary,
                 EngineConfig::default(),
                 9,
-                None,
+                Exec {
+                    engine,
+                    ..Exec::default()
+                },
             )
             .expect("in-process transports are infallible")
         };

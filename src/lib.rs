@@ -74,8 +74,8 @@
 //!
 //! The lower-level pieces remain available for protocol work: generate a
 //! network with [`SmallWorldNetwork::generate_seeded`](prelude::SmallWorldNetwork),
-//! drive the engine directly with
-//! [`run_counting_with`](prelude::run_counting_with), or implement
+//! drive the engine directly with [`run_counting`](prelude::run_counting)
+//! and an [`Exec`](prelude::Exec), or implement
 //! [`Estimator`](byzcount_core::sim::Estimator) for a custom workload and
 //! plug it into the same machinery.
 
@@ -92,8 +92,7 @@ pub use netsim_runtime::faults;
 /// the full scenario registry from `byzcount_analysis::campaign`.
 pub mod sim {
     pub use byzcount_analysis::campaign::{
-        execute, execute_batch, execute_batch_recorded, execute_batch_workers, execute_recorded,
-        execute_workers, FullRegistry, RunSimulation,
+        execute, execute_batch, execute_batch_workers, execute_workers, FullRegistry, RunSimulation,
     };
     pub use byzcount_core::sim::*;
 }
@@ -124,8 +123,7 @@ pub mod prelude {
         WorkloadSpec, SPEC_VERSION,
     };
     pub use byzcount_core::{
-        run_basic_counting, run_basic_counting_on, run_basic_counting_with, run_counting_on,
-        run_counting_with, CountingNode, CountingOutcome, Decision, EstimateEvaluation,
+        run_counting, Counting, CountingNode, CountingOutcome, Decision, EstimateEvaluation,
         ProtocolParams, Schedule,
     };
     pub use netsim_graph::prelude::*;

@@ -16,7 +16,9 @@ fn naive_baseline_collapses_but_algorithm2_survives() {
     // Naive estimator with one inflating Byzantine node.
     let mut one_byz = vec![false; n];
     one_byz[99] = true;
-    let naive = run_geometric_support(net.h().csr(), &one_byz, BaselineAttack::Inflate, ttl, 1);
+    let inflate = BaselineAttack::Inflate;
+    let naive =
+        run_geometric_support(net.h().csr(), &one_byz, inflate, ttl, 1, Exec::default()).unwrap();
     let naive_estimate = naive.outputs[0].unwrap() as f64;
     assert!(
         naive_estimate > 3.0 * (n as f64).log2(),
@@ -28,7 +30,9 @@ fn naive_baseline_collapses_but_algorithm2_survives() {
     let placement = Placement::random_budget(n, 0.6, 2);
     let knowledge = AdversaryKnowledge::gather(&net, &params, placement.mask());
     let adversary = ColorInflationAdversary::new(knowledge, InjectionTiming::LastStep);
-    let outcome = run_counting_with(&net, &params, placement.mask(), adversary, 3);
+    let alg2 = Counting::byzantine(params);
+    let outcome =
+        run_counting(&net, alg2, placement.mask(), adversary, 3, Exec::default()).unwrap();
     let eval = outcome.evaluate_with_factor(3.0);
     assert!(
         eval.good_fraction_of_honest > 0.8,
@@ -41,11 +45,14 @@ fn spanning_tree_is_exact_without_faults_and_corruptible_with_one() {
     let n = 600;
     let net = SmallWorldNetwork::generate_seeded(n, 6, 8).unwrap();
     let honest = vec![false; n];
-    let clean = run_spanning_tree_count(net.h().csr(), &honest, BaselineAttack::None, 500, 1);
+    let count = |byz: &[bool], attack| {
+        run_spanning_tree_count(net.h().csr(), byz, attack, 500, 1, Exec::default()).unwrap()
+    };
+    let clean = count(&honest, BaselineAttack::None);
     assert_eq!(clean.outputs[0], Some(n as u64));
 
     let mut byz = vec![false; n];
     byz[123] = true;
-    let attacked = run_spanning_tree_count(net.h().csr(), &byz, BaselineAttack::Inflate, 500, 1);
+    let attacked = count(&byz, BaselineAttack::Inflate);
     assert!(attacked.outputs[0].unwrap_or(0) > 10 * n as u64);
 }

@@ -10,13 +10,15 @@ fn run(n: usize, d: usize, adversary_seed: u64) -> (CountingOutcome, EstimateEva
     let placement = Placement::random_budget(n, delta, adversary_seed ^ 0x11);
     let knowledge = AdversaryKnowledge::gather(&net, &params, placement.mask());
     let adversary = CombinedAdversary::new(knowledge);
-    let outcome = run_counting_with(
+    let outcome = run_counting(
         &net,
-        &params,
+        Counting::byzantine(params),
         placement.mask(),
         adversary,
         adversary_seed ^ 0x22,
-    );
+        Exec::default(),
+    )
+    .unwrap();
     // Factor-3 acceptance window; see EXPERIMENTS.md for why estimates sit
     // at the low end of the constant-factor band at simulation scales.
     let eval = outcome.evaluate_with_factor(3.0);
@@ -47,9 +49,18 @@ fn estimates_grow_with_network_size() {
     let measure = |n: usize| {
         let net = SmallWorldNetwork::generate_seeded(n, 6, 3).unwrap();
         let params = ProtocolParams::for_network_default_expansion(&net, 0.6, 0.1);
-        run_basic_counting(&net, &params, 3)
-            .evaluate()
-            .mean_estimate
+        let honest = vec![false; n];
+        run_counting(
+            &net,
+            Counting::basic(params),
+            &honest,
+            NullAdversary,
+            3,
+            Exec::default(),
+        )
+        .unwrap()
+        .evaluate()
+        .mean_estimate
     };
     let small = measure(512);
     let large = measure(4096);

@@ -53,7 +53,7 @@ fn trace_counters_match_run_metrics_exactly_on_all_engines() {
     ] {
         let spec = with_engine(engine);
         let counters = CounterSet::new();
-        let report = byzcount::sim::execute_recorded(&spec, Some(&counters)).expect("run");
+        let report = byzcount::sim::execute_workers(&spec, Some(&counters), &[]).expect("run");
         let snap = counters.snapshot();
         let name = engine.name();
         assert_eq!(snap.total(Counter::Rounds), report.rounds, "{name}: rounds");
@@ -101,7 +101,7 @@ fn trace_counters_match_run_metrics_exactly_on_all_engines() {
         // `check_trace` recovers from a rendered trace file equals the
         // live counter set.
         let writer = TraceWriter::in_memory();
-        let report2 = byzcount::sim::execute_recorded(&spec, Some(&writer)).expect("run");
+        let report2 = byzcount::sim::execute_workers(&spec, Some(&writer), &[]).expect("run");
         assert_eq!(report2, report, "{name}: writer changed the report");
         let checked = check_trace(&writer.render()).expect("well-formed trace");
         assert_eq!(
@@ -163,7 +163,7 @@ fn traced_and_untraced_reports_are_byte_identical_across_the_matrix() {
             fanout.push(Arc::new(PhaseProfiler::new()) as Arc<dyn Recorder>);
             fanout.push(Arc::new(TraceWriter::in_memory()) as Arc<dyn Recorder>);
             let mut report =
-                byzcount::sim::execute_recorded(&spec, Some(&fanout)).expect("traced run");
+                byzcount::sim::execute_workers(&spec, Some(&fanout), &[]).expect("traced run");
             report.spec.engine = EngineSpec::Sync;
             assert_eq!(
                 report.to_json(),
@@ -190,7 +190,7 @@ fn trace_files_are_byte_deterministic_for_equal_spec_and_seed() {
         let spec = with_engine(engine);
         let render = || {
             let writer = TraceWriter::in_memory();
-            byzcount::sim::execute_recorded(&spec, Some(&writer)).expect("run");
+            byzcount::sim::execute_workers(&spec, Some(&writer), &[]).expect("run");
             writer.render()
         };
         let first = render();
@@ -208,7 +208,7 @@ fn trace_files_are_byte_deterministic_for_equal_spec_and_seed() {
         let mut other = spec.clone();
         other.seed ^= 1;
         let writer = TraceWriter::in_memory();
-        byzcount::sim::execute_recorded(&other, Some(&writer)).expect("run");
+        byzcount::sim::execute_workers(&other, Some(&writer), &[]).expect("run");
         assert_ne!(first, writer.render(), "engine={}", engine.name());
     }
 }
@@ -222,7 +222,7 @@ fn trace_files_are_byte_deterministic_for_equal_spec_and_seed() {
 fn phase_timings_sum_to_round_wall_time_within_ten_percent() {
     let spec = faulty_spec();
     let profiler = PhaseProfiler::new();
-    let report = byzcount::sim::execute_recorded(&spec, Some(&profiler)).expect("run");
+    let report = byzcount::sim::execute_workers(&spec, Some(&profiler), &[]).expect("run");
     let profile = profiler.report();
     let round = profile.phase("round").expect("round phase observed");
     assert_eq!(round.count, report.rounds, "one round span per round");
