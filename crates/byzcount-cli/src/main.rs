@@ -527,11 +527,9 @@ fn cmd_shard_worker(args: &[String]) -> ExitCode {
         match listener.accept() {
             Ok(Some(mut stream)) => {
                 std::thread::spawn(move || {
-                    if let Err(err) = byzcount_core::sim::serve_shard_conn(
-                        &mut stream,
-                        &campaign::FullRegistry,
-                        byzcount_core::sim::SHARD_HELLO_TIMEOUT,
-                    ) {
+                    if let Err(err) =
+                        byzcount_core::sim::serve_shard_conn(&mut stream, &campaign::FullRegistry)
+                    {
                         // One bad session (version skew, mute peer, a
                         // coordinator that died) never takes the worker
                         // down; the fleet stays dialable.

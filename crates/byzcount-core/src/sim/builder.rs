@@ -35,11 +35,10 @@ use crate::sim::spec::{
 };
 use crate::ProtocolParams;
 use netsim_faults::FaultSpec;
-use netsim_runtime::wire::{IoStream, WireError, WireHello};
+use netsim_runtime::wire::{IoStream, WireError, WireHello, HELLO_DEADLINE};
 use netsim_runtime::{Recorder, RemoteFleet, RunError, ShardServeConfig};
 use rayon::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A cloneable, debug-printable handle around a shared [`Recorder`], so
 /// recorders can ride along inside the (otherwise `Clone + Debug`) builder
@@ -233,14 +232,10 @@ impl PreparedRun {
     }
 }
 
-/// How long a shard worker waits for the coordinator's hello before
-/// abandoning a freshly accepted connection.
-pub const SHARD_HELLO_TIMEOUT: Duration = Duration::from_secs(10);
-
 /// Serve one shard-worker connection: the process-level worker's half of
 /// the distributed engine.
 ///
-/// Exchanges versioned hellos (bounded by `hello_timeout`; a mute or
+/// Exchanges versioned hellos (bounded by [`HELLO_DEADLINE`]; a mute or
 /// incompatible peer is an error, not a hang), requires the coordinator's
 /// [`ShardAssignment`](netsim_wire::ShardAssignment), rebuilds the run from
 /// the spec JSON it carries — topology, placement, parameters, node states
@@ -252,11 +247,10 @@ pub const SHARD_HELLO_TIMEOUT: Duration = Duration::from_secs(10);
 pub fn serve_shard_conn(
     stream: &mut IoStream,
     registry: &dyn ScenarioRegistry,
-    hello_timeout: Duration,
 ) -> Result<(), SimError> {
     let ours = WireHello::current(SPEC_VERSION);
     let theirs = stream
-        .exchange_hello(&ours, hello_timeout)
+        .exchange_hello(&ours, HELLO_DEADLINE)
         .map_err(|e| SimError::Engine(RunError::Fleet(format!("shard handshake: {e}"))))?;
     let assignment = theirs.assignment.ok_or_else(|| {
         SimError::Spec("coordinator hello carried no shard assignment".to_string())

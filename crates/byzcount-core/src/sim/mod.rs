@@ -34,7 +34,7 @@ mod spec;
 pub use builder::{
     execute_batch, execute_batch_workers, execute_spec, execute_spec_workers, serve_shard_conn,
     shard_serve_error, CoreRegistry, PreparedRun, RecorderHandle, ScenarioRegistry, Simulation,
-    SimulationBuilder, SHARD_HELLO_TIMEOUT,
+    SimulationBuilder,
 };
 pub use error::SimError;
 pub use estimator::{

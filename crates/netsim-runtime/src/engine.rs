@@ -752,81 +752,7 @@ pub(crate) fn splitmix(seed: u64, index: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::adversary::NullAdversary;
-    use crate::message::SizedMessage;
-    use netsim_graph::Csr;
-    use rand::Rng;
-
-    /// Message carrying a single value; one ID's worth of payload.
-    #[derive(Clone, Debug, PartialEq)]
-    struct Val(u64);
-    impl MessageSize for Val {
-        fn message_size(&self) -> SizedMessage {
-            SizedMessage::new(0, 64)
-        }
-    }
-
-    /// Max-flooding: every node starts with a random value and repeatedly
-    /// forwards the maximum it has seen; decides after `ttl` rounds.
-    #[derive(Clone)]
-    struct MaxFlood {
-        value: u64,
-        best: u64,
-        ttl: u64,
-        started: bool,
-    }
-
-    impl Protocol for MaxFlood {
-        type Message = Val;
-        type Output = u64;
-        fn step(
-            &mut self,
-            ctx: &NodeContext<'_>,
-            inbox: &[Envelope<Val>],
-            outbox: &mut Outbox<Val>,
-            rng: &mut ChaCha8Rng,
-        ) -> Action<u64> {
-            if !self.started {
-                self.started = true;
-                if self.value == 0 {
-                    self.value = rng.gen::<u64>() | 1;
-                }
-                self.best = self.value;
-                outbox.broadcast(ctx.neighbors.iter(), Val(self.best));
-                return Action::Continue;
-            }
-            let mut improved = false;
-            for env in inbox {
-                if env.payload.0 > self.best {
-                    self.best = env.payload.0;
-                    improved = true;
-                }
-            }
-            if improved {
-                outbox.broadcast(ctx.neighbors.iter(), Val(self.best));
-            }
-            if ctx.round >= self.ttl {
-                Action::Decide(self.best)
-            } else {
-                Action::Continue
-            }
-        }
-    }
-
-    fn line_graph(n: usize) -> Csr {
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        Csr::from_undirected_edges(n, &edges).unwrap()
-    }
-
-    fn flood_states(n: usize, ttl: u64) -> Vec<MaxFlood> {
-        (0..n)
-            .map(|_| MaxFlood {
-                value: 0,
-                best: 0,
-                ttl,
-                started: false,
-            })
-            .collect()
-    }
+    use crate::fixtures::{flood_states, line_graph, MaxFlood, Shouter, Val};
 
     #[test]
     fn max_flood_converges_on_a_line() {
@@ -893,36 +819,6 @@ mod tests {
         .run();
         assert!(!result.completed);
         assert_eq!(result.metrics.rounds, 3);
-    }
-
-    /// An adversary that makes Byzantine nodes shout a huge value.
-    struct Shouter;
-    impl Adversary<MaxFlood> for Shouter {
-        fn act(
-            &mut self,
-            view: &AdversaryView<'_, MaxFlood>,
-            _rng: &mut ChaCha8Rng,
-        ) -> AdversaryDecision<Val> {
-            let mut msgs = Vec::new();
-            for (i, &b) in view.byzantine.iter().enumerate() {
-                if b {
-                    // Send the maximum possible value to node 0 (a neighbour
-                    // in the line graph only if i == 1).
-                    msgs.push(Envelope::new(
-                        NodeId::from_index(i),
-                        NodeId(0),
-                        Val(u64::MAX),
-                    ));
-                    // Also an illegal long-range message that must be dropped.
-                    msgs.push(Envelope::new(
-                        NodeId::from_index(i),
-                        NodeId(5),
-                        Val(u64::MAX),
-                    ));
-                }
-            }
-            AdversaryDecision::Replace(msgs)
-        }
     }
 
     #[test]

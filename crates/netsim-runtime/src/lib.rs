@@ -27,45 +27,39 @@
 //! canonical (sorted by sender), so a run is a pure function of
 //! `(topology, protocol, adversary, seed)` regardless of thread scheduling.
 //!
-//! Four engines execute the same semantics: the classic
-//! [`engine::SyncEngine`], the node-range-partitioned
-//! [`sharded::ShardedSyncEngine`], the event-driven
-//! [`async_engine::AsyncEngine`] (per-node virtual clocks over a
-//! deterministic calendar queue — byte-identical to the synchronous
-//! engines under [`async_engine::ClockPlan::Uniform`], and the gateway to
-//! heterogeneous-clock scenarios beyond the synchronous model), and the
-//! [`sharded_async::ShardedAsyncEngine`] (per-shard calendar queues and
-//! clock domains rendezvousing only at routing).  The event-driven
-//! engines additionally *sparse-tick*: when the adversary is
-//! [`adversary::Adversary::idle_passive`] and no fault plan is installed,
-//! virtual time jumps straight to the next scheduled event, making
-//! idle-heavy heterogeneous-clock runs cost O(events) instead of
-//! O(ticks) — with byte-identical results.
+//! Two engines execute the same semantics: the reference
+//! [`engine::SyncEngine`], and the [`sharded::ShardedEngine`], which takes
+//! its layout as explicit inputs — how many contiguous shards, the
+//! per-node [`clock::ClockPlan`], and whether each shard lives in this
+//! process or behind a `netsim-wire` channel ([`distributed`]).  Under
+//! [`clock::ClockPlan::Uniform`] every layout is byte-identical to the
+//! reference engine; heterogeneous clock plans leave the synchronous
+//! model, and when the adversary is [`adversary::Adversary::idle_passive`]
+//! and no fault plan is installed, virtual time jumps straight to the
+//! next scheduled event (sparse ticking), making idle-heavy runs cost
+//! O(events) instead of O(ticks) — with byte-identical results.
 
 pub mod adversary;
-pub mod async_engine;
+pub mod clock;
 pub mod distributed;
 pub mod engine;
 pub mod message;
 pub mod metrics;
 pub mod node;
 pub mod ring;
+mod shard;
 pub mod sharded;
-pub mod sharded_async;
 pub mod topology;
 
 pub use adversary::{Adversary, AdversaryDecision, AdversaryView, NullAdversary};
-pub use async_engine::{AsyncEngine, CalendarQueue, ClockPlan, EventClass, EventKey};
-pub use distributed::{
-    serve_shard_session, DistributedSyncEngine, RemoteFleet, RunError, ShardServeConfig,
-};
+pub use clock::{CalendarQueue, ClockPlan, EventClass, EventKey};
+pub use distributed::{serve_shard_session, RemoteFleet, RunError, ShardServeConfig};
 pub use engine::{EngineConfig, RunResult, SyncEngine};
 pub use message::{Envelope, MessageSize, SizedMessage};
 pub use metrics::RunMetrics;
 pub use node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
 pub use ring::DelayRing;
-pub use sharded::{run_with_engine, shard_bounds, EngineKind, Exec, ShardedSyncEngine};
-pub use sharded_async::ShardedAsyncEngine;
+pub use sharded::{run_with_engine, shard_bounds, EngineKind, Exec, Layout, ShardedEngine};
 pub use topology::Topology;
 
 /// The structured-tracing subsystem (re-exported from [`netsim_trace`]):
@@ -75,10 +69,10 @@ pub use netsim_trace as trace;
 pub use netsim_trace::{NoopRecorder, Recorder};
 
 /// The wire layer (re-exported from [`netsim_wire`]): the binary codec,
-/// checksummed frames and versioned handshake the
-/// [`DistributedSyncEngine`]'s shard channels speak.  A protocol's message
-/// type must implement [`netsim_wire::Wire`] to run on the distributed
-/// engine (and, through the shared dispatcher, on [`run_with_engine`]).
+/// checksummed frames and versioned handshake a [`ShardedEngine`]'s shard
+/// channels speak.  A protocol's message and output types must implement
+/// [`netsim_wire::Wire`] to run on the sharded engine (and, through the
+/// shared dispatcher, on [`run_with_engine`]).
 pub use netsim_wire as wire;
 
 /// The fault-injection subsystem (re-exported from [`netsim_faults`]): an
@@ -90,17 +84,17 @@ pub use netsim_faults::{ChurnEvent, EnvelopeFate, FaultPlan, FaultSpec, NoFaults
 /// Convenient re-exports for downstream crates.
 pub mod prelude {
     pub use crate::adversary::{Adversary, AdversaryDecision, AdversaryView, NullAdversary};
-    pub use crate::async_engine::{AsyncEngine, ClockPlan};
-    pub use crate::distributed::{
-        serve_shard_session, DistributedSyncEngine, RemoteFleet, RunError, ShardServeConfig,
-    };
+    pub use crate::clock::ClockPlan;
+    pub use crate::distributed::{serve_shard_session, RemoteFleet, RunError, ShardServeConfig};
     pub use crate::engine::{EngineConfig, RunResult, SyncEngine};
     pub use crate::message::{Envelope, MessageSize, SizedMessage};
     pub use crate::metrics::RunMetrics;
     pub use crate::node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
-    pub use crate::sharded::{run_with_engine, EngineKind, Exec, ShardedSyncEngine};
-    pub use crate::sharded_async::ShardedAsyncEngine;
+    pub use crate::sharded::{run_with_engine, EngineKind, Exec, Layout, ShardedEngine};
     pub use crate::topology::Topology;
     pub use netsim_faults::{ChurnEvent, EnvelopeFate, FaultPlan, FaultSpec, NoFaults};
     pub use netsim_trace::{NoopRecorder, Recorder};
 }
+
+#[cfg(test)]
+mod fixtures;

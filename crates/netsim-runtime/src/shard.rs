@@ -1,0 +1,322 @@
+//! One shard of the [`ShardedEngine`](crate::ShardedEngine): a contiguous
+//! node range and everything the engine keeps per node in it.
+//!
+//! [`Shard`] is the only code that steps nodes and drains deliveries.  The
+//! engine calls it directly when the shard lives in this process, and
+//! [`serve_shard_session`](crate::serve_shard_session) drives the same
+//! type from decoded frames when it lives behind a `netsim-wire` channel.
+//! A shard owns its range's RNG streams, statuses, outputs, mailboxes,
+//! outboxes, delivery-side metrics and calendar queue.  Protocol states
+//! are the one exception: the shard steps states it is lent, because in
+//! process they stay in one node-ordered vector the full-information
+//! adversary reads.
+//!
+//! A tick on a shard is [`open`](Shard::open) (step the due nodes, apply
+//! their actions, gather their envelopes), then any number of
+//! [`accept`](Shard::accept)s as the router hands over this range's
+//! deliveries and deferrals, then [`drain`](Shard::drain) (complete the
+//! deferred deliveries due this tick).
+
+use crate::clock::{CalendarQueue, ClockPlan, EventClass};
+use crate::engine::splitmix;
+use crate::message::{Envelope, MessageSize};
+use crate::metrics::RunMetrics;
+use crate::node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
+use crate::topology::Topology;
+use netsim_graph::NodeId;
+use netsim_wire::WireError;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+/// Churn op codes, as the router hands them to a shard (and as they
+/// travel the wire).
+pub(crate) const CHURN_CRASH: u8 = 0;
+pub(crate) const CHURN_RECOVER: u8 = 1;
+/// Status-transition op codes a shard reports for its nodes.
+pub(crate) const TRANSITION_DECIDED: u8 = 0;
+pub(crate) const TRANSITION_CRASHED: u8 = 1;
+
+/// A contiguous node range; see the module documentation.
+pub(crate) struct Shard<P: Protocol> {
+    /// First global node id of the range.
+    pub(crate) start: usize,
+    byzantine: Vec<bool>,
+    statuses: Vec<NodeStatus>,
+    /// Pristine clones for churn recovery (present iff a fault plan is
+    /// installed).
+    pristine: Option<Vec<P>>,
+    rngs: Vec<ChaCha8Rng>,
+    pub(crate) outputs: Vec<Option<P::Output>>,
+    pub(crate) decided_round: Vec<Option<u64>>,
+    /// Everything delivered to each node since its previous step.
+    mailboxes: Vec<Vec<Envelope<P::Message>>>,
+    outboxes: Vec<Outbox<P::Message>>,
+    /// Per-node step periods under a heterogeneous clock plan; `None`
+    /// under a synchronous one, where every node steps every tick and the
+    /// queue holds only deferred deliveries.
+    periods: Option<Vec<u64>>,
+    /// Deferred deliveries into this range, plus the node-step events of
+    /// a heterogeneous clock plan.  Step events carry no envelope.
+    pub(crate) queue: CalendarQueue<Option<Envelope<P::Message>>>,
+    scratch: Vec<(u32, Option<Envelope<P::Message>>)>,
+    /// Deferred envelopes scheduled and not yet due.
+    pub(crate) in_flight: u64,
+    /// Delivery-side accounting for this range.
+    pub(crate) metrics: RunMetrics,
+    /// The tick being processed.
+    tick: u64,
+    /// This tick's envelopes from honest nodes, in node order.
+    pub(crate) honest: Vec<Envelope<P::Message>>,
+    /// This tick's protocol-following envelopes from Byzantine nodes.
+    pub(crate) byz: Vec<Envelope<P::Message>>,
+    /// This tick's status transitions, `(global id, TRANSITION_*)`.
+    pub(crate) transitions: Vec<(u32, u8)>,
+}
+
+impl<P: Protocol> Shard<P> {
+    /// A shard over `start..start + byzantine.len()`.  Per-node RNG
+    /// streams and clock periods derive from the *global* node id, so
+    /// neither the shard layout nor the transport reaches the randomness.
+    pub(crate) fn new(start: usize, byzantine: Vec<bool>, seed: u64, clocks: ClockPlan) -> Self {
+        let range = start..start + byzantine.len();
+        let len = range.len();
+        let mut queue = CalendarQueue::new();
+        let periods = (!clocks.is_synchronous()).then(|| {
+            for i in range.clone() {
+                queue.push(0, 0, EventClass::NodeStep, i as u32, None);
+            }
+            range.clone().map(|i| clocks.period_of(i, seed)).collect()
+        });
+        Shard {
+            start,
+            byzantine,
+            statuses: vec![NodeStatus::Active; len],
+            pristine: None,
+            rngs: range
+                .map(|i| ChaCha8Rng::seed_from_u64(splitmix(seed, i as u64)))
+                .collect(),
+            outputs: vec![None; len],
+            decided_round: vec![None; len],
+            mailboxes: vec![Vec::new(); len],
+            outboxes: (0..len).map(|_| Outbox::new()).collect(),
+            periods,
+            queue,
+            scratch: Vec::new(),
+            in_flight: 0,
+            metrics: RunMetrics::default(),
+            tick: 0,
+            honest: Vec::new(),
+            byz: Vec::new(),
+            transitions: Vec::new(),
+        }
+    }
+
+    /// Number of nodes in the range.
+    pub(crate) fn len(&self) -> usize {
+        self.byzantine.len()
+    }
+
+    /// Keep pristine clones of the range's `states`, so churn can reset
+    /// recovered nodes.
+    pub(crate) fn keep_pristine(&mut self, states: &[P])
+    where
+        P: Clone,
+    {
+        self.pristine = Some(states.to_vec());
+    }
+
+    /// Mark a node crashed before the first tick.
+    pub(crate) fn crash_initially(&mut self, i: usize) {
+        self.statuses[i - self.start] = NodeStatus::Crashed;
+    }
+
+    /// Apply the router's effective churn events for this range, in plan
+    /// order: a crash fail-stops the node, a recovery brings it back with
+    /// its pristine state, no output and an empty mailbox.
+    pub(crate) fn apply_churn(
+        &mut self,
+        churn: &[(u32, u8)],
+        states: &mut [P],
+    ) -> Result<(), WireError>
+    where
+        P: Clone,
+    {
+        for &(node, op) in churn {
+            let local = (node as usize).wrapping_sub(self.start);
+            match (op, self.pristine.as_ref()) {
+                _ if local >= self.len() => {
+                    return Err(WireError::Corrupt(format!(
+                        "churn for node {node} outside this shard"
+                    )))
+                }
+                (CHURN_CRASH, _) => self.statuses[local] = NodeStatus::Crashed,
+                (CHURN_RECOVER, Some(pristine)) => {
+                    states[local] = pristine[local].clone();
+                    self.outputs[local] = None;
+                    self.decided_round[local] = None;
+                    self.statuses[local] = NodeStatus::Active;
+                    self.mailboxes[local].clear();
+                }
+                _ => {
+                    return Err(WireError::Corrupt(format!(
+                        "churn op {op} for node {node} is invalid here"
+                    )))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Open `tick`: step every node due this tick against its mailbox,
+    /// apply its action, and gather its envelopes into [`Shard::honest`]
+    /// / [`Shard::byz`] and its transition into [`Shard::transitions`].
+    ///
+    /// Applying a node's action right after its own step is equivalent to
+    /// the reference engine's post-cut application: a node's step reads
+    /// only its own status and output, and the router mirrors the
+    /// transitions into the adversary-visible statuses only after the
+    /// cut.
+    pub(crate) fn open<T: Topology>(&mut self, tick: u64, states: &mut [P], topology: &T) {
+        self.tick = tick;
+        self.metrics.begin_round();
+        match self.periods.take() {
+            None => {
+                for (local, state) in states.iter_mut().enumerate() {
+                    self.step(local, state, topology);
+                }
+                for local in 0..self.len() {
+                    self.gather(local);
+                }
+            }
+            // Due nodes step in node order (the queue's tie-break) and are
+            // rescheduled unconditionally: a crashed node keeps its
+            // cadence, so a churn-recovered node resumes on its original
+            // clock phase.
+            Some(periods) => {
+                let mut due = std::mem::take(&mut self.scratch);
+                self.queue
+                    .drain_class_into(tick, EventClass::NodeStep, &mut due);
+                for &(node, _) in &due {
+                    let local = node as usize - self.start;
+                    self.queue.push(
+                        tick,
+                        tick + periods[local],
+                        EventClass::NodeStep,
+                        node,
+                        None,
+                    );
+                    self.step(local, &mut states[local], topology);
+                }
+                for &(node, _) in &due {
+                    self.gather(node as usize - self.start);
+                }
+                self.scratch = due;
+                self.periods = Some(periods);
+            }
+        }
+    }
+
+    fn step<T: Topology>(&mut self, local: usize, state: &mut P, topology: &T) {
+        if self.statuses[local] == NodeStatus::Crashed {
+            return;
+        }
+        let id = NodeId::from_index(self.start + local);
+        let ctx = NodeContext {
+            id,
+            round: self.tick,
+            neighbors: topology.neighbors(id),
+            decided: self.outputs[local].is_some(),
+        };
+        let outbox = &mut self.outboxes[local];
+        let action = state.step(&ctx, &self.mailboxes[local], outbox, &mut self.rngs[local]);
+        self.mailboxes[local].clear();
+        // Byzantine nodes are puppets of the adversary: their "decisions"
+        // are meaningless.
+        if self.byzantine[local] {
+            return;
+        }
+        match action {
+            Action::Continue => {}
+            Action::Decide(output) => {
+                if self.outputs[local].is_none() {
+                    self.outputs[local] = Some(output);
+                    self.decided_round[local] = Some(self.tick);
+                    self.statuses[local] = NodeStatus::Decided;
+                    self.transitions.push((id.0, TRANSITION_DECIDED));
+                }
+            }
+            Action::Crash => {
+                self.statuses[local] = NodeStatus::Crashed;
+                self.transitions.push((id.0, TRANSITION_CRASHED));
+            }
+        }
+    }
+
+    /// Move a node's queued envelopes into this tick's arenas: a Byzantine
+    /// node's are the adversary's defaults.
+    fn gather(&mut self, local: usize) {
+        let id = NodeId::from_index(self.start + local);
+        let arena = if self.byzantine[local] {
+            &mut self.byz
+        } else {
+            &mut self.honest
+        };
+        self.outboxes[local].drain_envelopes(id, |env| arena.push(env));
+    }
+
+    /// Take one envelope the router sent into this range: delivered into
+    /// its recipient's mailbox now (`due = None`), or scheduled for the
+    /// due tick.
+    pub(crate) fn accept(&mut self, due: Option<u64>, env: Envelope<P::Message>) {
+        match due {
+            None => {
+                self.metrics.record_delivery(env.payload.message_size());
+                self.mailboxes[env.to.index() - self.start].push(env);
+            }
+            Some(due) => {
+                self.in_flight += 1;
+                let to = env.to.0;
+                self.queue
+                    .push(self.tick, due, EventClass::Deliver, to, Some(env));
+            }
+        }
+    }
+
+    /// Complete the deferred deliveries due this tick.  An envelope whose
+    /// recipient crashed while it was in flight expires, never delivered.
+    pub(crate) fn drain(&mut self) {
+        let mut due = std::mem::take(&mut self.scratch);
+        self.queue
+            .drain_class_into(self.tick, EventClass::Deliver, &mut due);
+        for (node, env) in due.drain(..) {
+            let env = env.expect("deliver events carry an envelope");
+            let local = node as usize - self.start;
+            self.in_flight -= 1;
+            if self.statuses[local] == NodeStatus::Crashed {
+                self.metrics.record_fault_expired(1);
+            } else {
+                self.metrics.record_delivery(env.payload.message_size());
+                self.mailboxes[local].push(env);
+            }
+        }
+        self.scratch = due;
+    }
+
+    /// The earliest tick at which this shard has work: now, when every
+    /// node steps every tick; otherwise its queue's next event.
+    pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
+        match self.periods {
+            None => Some(now),
+            Some(_) => self.queue.next_event_time(),
+        }
+    }
+
+    /// End the run: deferred envelopes still in flight expire, never
+    /// delivered.
+    pub(crate) fn finish(&mut self) {
+        let expired = std::mem::take(&mut self.in_flight);
+        if expired > 0 {
+            self.metrics.record_fault_expired(expired);
+        }
+    }
+}

@@ -1,96 +1,109 @@
-//! The sharded synchronous engine: node-id-range partitioning of the round
-//! loop.
+//! The sharded engine: one per-tick pipeline for every engine layout
+//! except the reference [`SyncEngine`].
 //!
-//! [`ShardedSyncEngine`] executes the exact protocol semantics of
-//! [`SyncEngine`], but partitions the per-node hot state — protocol states,
-//! RNG streams, per-node outboxes, the double-buffered inboxes, the
-//! round-scoped envelope arenas, the deferred-delivery [`DelayRing`]s and
-//! the delivery-side [`RunMetrics`] — into `S` contiguous node-id ranges,
-//! each owned by one shard.  A round then has two regimes:
+//! A [`ShardedEngine`] takes its layout as three explicit inputs
+//! ([`Layout`]): the shard count (contiguous node ranges, see
+//! [`shard_bounds`]), the [`ClockPlan`], and where each shard lives — in
+//! this process, or behind a `netsim-wire` channel (see
+//! [`distributed`](crate::distributed)).  A tick runs the paper's round
+//! pipeline once:
 //!
-//! 1. **Per-shard compute (parallel).**  Every shard steps its own nodes
-//!    against its own inbox slice and fills its own outboxes and envelope
-//!    arena, with no data shared between shards.  PR 3's buffer-reuse
-//!    design (engine-owned, cleared-not-dropped buffers; move-only
-//!    envelope arenas) was shaped for exactly this: a shard's slice is
-//!    self-contained, so shards map directly onto the rayon shim's scoped
-//!    threads ([`rayon::join`], recursively over the shard list, split
-//!    only as deep as [`rayon::current_num_threads`] warrants).  With
-//!    `S = 1` — or a single configured worker — the engine falls back to
-//!    the plain sequential loop and spawns nothing.
-//! 2. **Cross-shard routing (sequential).**  The round boundary is an
-//!    explicit routing step: shard arenas are gathered in shard order
-//!    (which *is* global node order, since shards are contiguous ranges),
-//!    the full-information adversary inspects the single gathered stream,
-//!    and every validated envelope is routed — fault plan consulted in the
-//!    same globally fixed order as the unsharded engine — into the
-//!    destination shard's next-round inbox or its [`DelayRing`].
+//! 1. **churn** — the fault plan is consulted globally, in plan order;
+//!    effective events go to the owning shards;
+//! 2. **node step** — every shard steps its due nodes and applies their
+//!    actions; in-process shards run in parallel on the rayon shim's
+//!    scoped threads, shards behind channels on their workers;
+//! 3. **adversary cut** — the shard arenas are gathered in shard order
+//!    (which *is* global node order) and the full-information adversary
+//!    sees the single gathered stream, against the pre-action statuses;
+//! 4. **routing** — every envelope is validated and given its fate, the
+//!    fault plan consulted in the reference engine's exact order, then
+//!    handed to its destination shard;
+//! 5. **deferred drain** — each shard completes the deliveries due this
+//!    tick.
 //!
 //! ## Determinism contract
 //!
-//! For equal `(topology, protocol, adversary, seed, fault plan)`, a
-//! [`ShardedSyncEngine`] run is **byte-identical** to a [`SyncEngine`] run
-//! for every shard count: per-node RNG streams are seed-derived per node
-//! (not per shard), the adversary and the fault plan are consulted in the
-//! same order and with the same RNG state, inbox contents arrive in the
-//! same per-recipient order, and the partitioned metrics merge
-//! ([`RunMetrics::absorb_shard`]) to the exact single-stream totals.  The
-//! cross-shard differential suite (`tests/sharded_parity.rs`) locks this
-//! down over the golden fixtures.
+//! For equal `(topology, protocol, adversary, seed, fault plan)` and a
+//! synchronous clock plan, a run is **byte-identical** to [`SyncEngine`]
+//! for every shard count and every transport; under other plans it is
+//! byte-identical to the one-shard in-process layout.  The ingredients:
+//! per-node RNG streams derive from the global node id, never from the
+//! layout; arenas are gathered in shard order; the adversary and the fault
+//! plan are consulted in the unsharded order; each destination lives in
+//! exactly one shard, so per-recipient arrival order is preserved; and the
+//! shard metrics merge through [`RunMetrics::absorb_shard`] into the exact
+//! single-stream totals.  In-process layouts show the adversary every
+//! node's state; shards behind channels keep their states to themselves.
+//!
+//! ## Clocks and sparse ticking
+//!
+//! Under a synchronous plan every live node steps every tick and the
+//! shards schedule no step events: their calendar queues hold only
+//! deferred deliveries.  Under a heterogeneous plan each node's step is a
+//! self-rescheduling queue event, and when nothing is due at the next
+//! ticks the engine jumps straight to the earliest event of any shard,
+//! bulk-replaying the idle ticks' accounting so the result stays
+//! byte-identical to dense execution ([`step_tick`](ShardedEngine::step_tick)
+//! in a loop).
+//!
+//! ## Observability
+//!
+//! The router's phases, counters and the round marker report under
+//! [`SHARD_ROUTER`]; node steps, deferred drains and delivery-side
+//! counters under the shard's index.  Shards behind channels are observed
+//! from the coordinator only: their delivered and expired totals arrive in
+//! the final `Done` frame and are reported then.
 
 use crate::adversary::{Adversary, AdversaryDecision, AdversaryView};
-use crate::async_engine::{AsyncEngine, ClockPlan};
+use crate::clock::ClockPlan;
+use crate::distributed::{lost, pipe_hello, serve, Channel, Remote, RemoteFleet, RunError};
 use crate::engine::{
     emit_metric_deltas, envelope_admissible, splitmix, EngineConfig, MetricsSnap, RunResult,
     SyncEngine,
 };
-use crate::message::{Envelope, MessageSize};
+use crate::message::Envelope;
 use crate::metrics::RunMetrics;
-use crate::node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
-use crate::ring::DelayRing;
+use crate::node::{NodeStatus, Protocol};
+use crate::shard::{Shard, CHURN_CRASH, CHURN_RECOVER, TRANSITION_DECIDED};
 use crate::topology::Topology;
 use netsim_faults::{ChurnEvent, EnvelopeFate, FaultPlan};
-use netsim_graph::NodeId;
 use netsim_trace::{Counter, Gauge, Phase, Recorder, SHARD_ROUTER};
+use netsim_wire::{duplex, Wire, WireError, WireHello, SPEC_VERSION_ANY};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Which engine implementation drives a run.
+/// Which engine drives a run.
 ///
-/// `Sync` and `Sharded` are pure execution policy: they produce
-/// byte-identical results for equal inputs (that is the sharded engine's
-/// contract), so the choice only affects how the round loop maps onto
-/// cores.  `Async` is policy *plus* a clock model: under
-/// [`ClockPlan::Uniform`] it too is byte-identical to the synchronous
-/// engines, while heterogeneous clock plans deliberately leave the
-/// synchronous model (still fully deterministic per spec and seed).
+/// `Sync` is the reference [`SyncEngine`]; every other kind is a
+/// [`Layout`] of the [`ShardedEngine`].  Under [`ClockPlan::Uniform`]
+/// every kind produces byte-identical results for equal inputs, so the
+/// choice only affects how the run maps onto cores and processes;
+/// heterogeneous clock plans deliberately leave the synchronous model
+/// (still fully deterministic per spec and seed).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The classic single-owner [`SyncEngine`].
+    /// The reference [`SyncEngine`].
     #[default]
     Sync,
-    /// A [`ShardedSyncEngine`] over this many contiguous node-id ranges.
+    /// This many in-process shards with uniform clocks.
     Sharded {
         /// Number of shards (≥ 1; clamped to the node count).
         shards: usize,
     },
-    /// The event-driven [`AsyncEngine`] with the given per-node clocks.
+    /// One in-process shard with the given per-node clocks.
     Async {
         /// How node clocks map onto virtual time.
         clocks: ClockPlan,
     },
-    /// A [`ShardedAsyncEngine`](crate::ShardedAsyncEngine): per-shard
-    /// calendar queues and clock domains, rendezvousing only at routing.
+    /// This many in-process shards with the given per-node clocks.
     ShardedAsync {
         /// Number of shards (≥ 1; clamped to the node count).
         shards: usize,
         /// How node clocks map onto virtual time.
         clocks: ClockPlan,
     },
-    /// A [`DistributedSyncEngine`](crate::DistributedSyncEngine): shard
-    /// workers owning private node ranges, speaking `netsim-wire`'s binary
-    /// protocol to a central coordinator.  Synchronous semantics,
-    /// byte-identical to `Sync` and `Sharded`.
+    /// This many shards behind `netsim-wire` channels, uniform clocks.
     Distributed {
         /// Number of shard workers (≥ 1; clamped to the node count).
         shards: usize,
@@ -117,6 +130,28 @@ impl EngineKind {
             EngineKind::Distributed { shards } => format!("dist-{shards}"),
         }
     }
+
+    /// The [`ShardedEngine`] layout this kind runs (`Sync` maps to its
+    /// one-shard equivalent).  `fleet` places `Distributed` shards on
+    /// worker processes instead of pipe threads.
+    pub(crate) fn layout(&self, fleet: Option<&RemoteFleet>) -> Layout {
+        match *self {
+            EngineKind::Sync => Layout::InProcess {
+                shards: 1,
+                clocks: ClockPlan::Uniform,
+            },
+            EngineKind::Sharded { shards } => Layout::InProcess {
+                shards,
+                clocks: ClockPlan::Uniform,
+            },
+            EngineKind::Async { clocks } => Layout::InProcess { shards: 1, clocks },
+            EngineKind::ShardedAsync { shards, clocks } => Layout::InProcess { shards, clocks },
+            EngineKind::Distributed { shards } => Layout::Wire {
+                shards,
+                fleet: fleet.cloned(),
+            },
+        }
+    }
 }
 
 /// Shard boundaries for `n` nodes over `shards` contiguous ranges: shard
@@ -133,7 +168,7 @@ pub fn shard_bounds(n: usize, shards: usize) -> Vec<usize> {
 /// fault plan, recorder or fleet.
 #[derive(Default)]
 pub struct Exec<'a> {
-    /// Which engine implementation drives the run.
+    /// Which engine drives the run.
     pub engine: EngineKind,
     /// Network faults applied to honest traffic (loss, delay, churn).
     pub fault_plan: Option<Box<dyn FaultPlan>>,
@@ -143,7 +178,7 @@ pub struct Exec<'a> {
     /// Remote shard-worker processes for the distributed engine.  Pure
     /// transport policy, ignored by every other engine: results are
     /// byte-identical across transports.
-    pub fleet: Option<&'a crate::distributed::RemoteFleet>,
+    pub fleet: Option<&'a RemoteFleet>,
 }
 
 /// Run a protocol through the engine `exec` selects.
@@ -153,9 +188,8 @@ pub struct Exec<'a> {
 /// every workload the same way.
 ///
 /// # Errors
-/// Only the distributed engine can fail (a lost worker channel surfaces
-/// as [`RunError`](crate::distributed::RunError)); every in-process engine
-/// always returns `Ok`.
+/// Only shards behind channels can fail (a lost worker channel surfaces
+/// as [`RunError`]); in-process layouts always return `Ok`.
 pub fn run_with_engine<T, P, A>(
     topology: &T,
     states: Vec<P>,
@@ -164,12 +198,12 @@ pub fn run_with_engine<T, P, A>(
     config: EngineConfig,
     seed: u64,
     exec: Exec<'_>,
-) -> Result<RunResult<P::Output>, crate::distributed::RunError>
+) -> Result<RunResult<P::Output>, RunError>
 where
     T: Topology,
     P: Protocol + Clone + Send + Sync + 'static,
-    P::Output: Send + netsim_wire::Wire,
-    P::Message: netsim_wire::Wire,
+    P::Output: Send + Wire,
+    P::Message: Wire,
     A: Adversary<P>,
 {
     let Exec {
@@ -185,52 +219,19 @@ where
         .with_fault_plan_opt(fault_plan)
         .with_recorder_opt(recorder)
         .run()),
-        EngineKind::Sharded { shards } => Ok(ShardedSyncEngine::new(
-            topology, states, byzantine, adversary, config, seed, shards,
+        kind => ShardedEngine::new(
+            topology,
+            states,
+            byzantine,
+            adversary,
+            config,
+            seed,
+            kind.layout(fleet),
         )
         .with_fault_plan_opt(fault_plan)
         .with_recorder_opt(recorder)
-        .run()),
-        EngineKind::Async { clocks } => Ok(AsyncEngine::new(
-            topology, states, byzantine, adversary, config, seed, clocks,
-        )
-        .with_fault_plan_opt(fault_plan)
-        .with_recorder_opt(recorder)
-        .run()),
-        EngineKind::ShardedAsync { shards, clocks } => {
-            Ok(crate::sharded_async::ShardedAsyncEngine::new(
-                topology, states, byzantine, adversary, config, seed, shards, clocks,
-            )
-            .with_fault_plan_opt(fault_plan)
-            .with_recorder_opt(recorder)
-            .run())
-        }
-        EngineKind::Distributed { shards } => crate::distributed::DistributedSyncEngine::new(
-            topology, states, byzantine, adversary, config, seed, shards,
-        )
-        .with_fault_plan_opt(fault_plan)
-        .with_recorder_opt(recorder)
-        .with_remote_fleet(fleet.cloned())
         .run(),
     }
-}
-
-/// The per-shard mutable view used by the parallel compute phase: disjoint
-/// slices of the node-indexed engine state plus the shard-owned arenas.
-struct ShardTask<'b, P: Protocol> {
-    /// This shard's index (the `tid` its trace records report under).
-    shard: u32,
-    /// First global node id of this shard.
-    start: usize,
-    states: &'b mut [P],
-    rngs: &'b mut [ChaCha8Rng],
-    outboxes: &'b mut [Outbox<P::Message>],
-    actions: &'b mut [Action<P::Output>],
-    /// Shard-owned arena for its honest nodes' envelopes this round.
-    honest: &'b mut Vec<Envelope<P::Message>>,
-    /// Shard-owned buffer for its Byzantine nodes' protocol-following
-    /// envelopes.
-    byz: &'b mut Vec<Envelope<P::Message>>,
 }
 
 /// Apply `f` to every task, recursively splitting the task list across the
@@ -241,7 +242,7 @@ struct ShardTask<'b, P: Protocol> {
 /// loop: no threads are spawned, so `S > cores` never pays for more
 /// fan-out than the machine can absorb, and results are identical either
 /// way (that is the engine's contract).
-pub(crate) fn for_each_shard<T: Send, F: Fn(&mut T) + Sync>(tasks: &mut [T], f: &F) {
+fn for_each_shard<T: Send, F: Fn(&mut T) + Sync>(tasks: &mut [T], f: &F) {
     let threads = rayon::current_num_threads();
     let splits = if threads <= 1 {
         0
@@ -268,75 +269,94 @@ fn for_each_shard_rec<T: Send, F: Fn(&mut T) + Sync>(tasks: &mut [T], f: &F, spl
     );
 }
 
-/// The sharded synchronous engine; see the module documentation.
-pub struct ShardedSyncEngine<'a, T, P, A>
+/// A [`ShardedEngine`]'s layout: how many contiguous shards, under which
+/// clocks, and where they live.
+#[derive(Clone, Debug)]
+pub enum Layout {
+    /// Shards the engine steps directly, in this process.
+    InProcess {
+        /// Number of shards (≥ 1; clamped to the node count).
+        shards: usize,
+        /// How node clocks map onto virtual time.
+        clocks: ClockPlan,
+    },
+    /// Shards behind `netsim-wire` channels: pipe threads when `fleet` is
+    /// `None` or lists no address, sessions on the fleet's `shard-worker`
+    /// processes otherwise.  The wire protocol carries no clock plan, so
+    /// these shards run uniform clocks.
+    Wire {
+        /// Number of shards (≥ 1; clamped to the node count).
+        shards: usize,
+        /// Worker processes to dial.
+        fleet: Option<RemoteFleet>,
+    },
+}
+
+/// Where a run's shards are: values the engine calls, or channels.
+enum Links<P: Protocol> {
+    Local(Vec<Shard<P>>),
+    Remote(Remote<P::Message>),
+}
+
+/// The sharded engine; see the module documentation.
+pub struct ShardedEngine<'a, T, P, A>
 where
     T: Topology,
     P: Protocol,
     A: Adversary<P>,
 {
     topology: &'a T,
-    /// Node-indexed state; shards view it through disjoint contiguous
-    /// `split_at_mut` slices during the compute phase.
+    layout: Layout,
+    config: EngineConfig,
+    seed: u64,
+    /// Node-ordered protocol states: the in-process shards step them in
+    /// place and the adversary reads them.  Empty once the shards live
+    /// behind channels.
     states: Vec<P>,
     byzantine: Vec<bool>,
-    adversary: A,
-    config: EngineConfig,
-    rngs: Vec<ChaCha8Rng>,
-    adversary_rng: ChaCha8Rng,
-    inboxes: Vec<Vec<Envelope<P::Message>>>,
-    next_inboxes: Vec<Vec<Envelope<P::Message>>>,
-    outboxes: Vec<Outbox<P::Message>>,
-    actions: Vec<Action<P::Output>>,
-    /// Shard boundaries: shard `s` owns nodes `bounds[s]..bounds[s + 1]`.
-    bounds: Vec<usize>,
-    /// Destination shard of each node (contiguous ranges, precomputed).
-    shard_of: Vec<u32>,
-    /// Per-shard round arenas, gathered in shard order at the routing step.
-    shard_honest: Vec<Vec<Envelope<P::Message>>>,
-    shard_byz: Vec<Vec<Envelope<P::Message>>>,
-    /// Gathered (global-order) arenas the adversary views and the router
-    /// drains; capacity reused across rounds.
-    honest_arena: Vec<Envelope<P::Message>>,
-    byz_default: Vec<Envelope<P::Message>>,
-    crashed_scratch: Vec<bool>,
+    /// Every node's status as the router sees it: churn applies here
+    /// first, the shards' transitions after each cut.
     statuses: Vec<NodeStatus>,
-    outputs: Vec<Option<P::Output>>,
-    decided_round: Vec<Option<u64>>,
+    /// Nodes whose *current* crash was injected by churn.  A `Recover`
+    /// event only revives these: nodes that fail-stopped any other way
+    /// (initial crashes, protocol self-crash) stay down forever.
+    churned_down: Vec<bool>,
+    adversary: A,
+    adversary_rng: ChaCha8Rng,
+    fault_plan: Option<Box<dyn FaultPlan>>,
+    recorder: Option<&'a dyn Recorder>,
+    /// Shard `s` owns nodes `bounds[s]..bounds[s + 1]`.
+    bounds: Vec<usize>,
+    /// Destination shard of each node.
+    shard_of: Vec<u32>,
+    links: Links<P>,
     /// Router-side accounting: rounds, validation drops, fault losses and
     /// deferrals, churn.  Merged with the shard metrics at the end.
-    router_metrics: RunMetrics,
-    /// Per-shard delivery-side accounting (messages arriving in the shard's
-    /// node range, and their expiries).
-    shard_metrics: Vec<RunMetrics>,
-    round: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    /// Per-destination-shard deferred envelopes: each shard owns the ring
-    /// of messages in flight *towards* its node range.
-    shard_deferred: Vec<DelayRing<Envelope<P::Message>>>,
-    reset_state: Option<Box<dyn Fn(usize) -> P + Send>>,
-    churned_down: Vec<bool>,
-    /// Optional observer.  Shard-local phases report under their shard id,
-    /// the routing step under [`SHARD_ROUTER`]; `None` costs one branch per
-    /// phase boundary, never per envelope.
-    recorder: Option<&'a dyn Recorder>,
+    metrics: RunMetrics,
+    /// The tick's gathered arenas and transitions (capacity reused).
+    honest_arena: Vec<Envelope<P::Message>>,
+    byz_default: Vec<Envelope<P::Message>>,
+    transitions: Vec<(u32, u8)>,
+    crashed_scratch: Vec<bool>,
+    /// The tick's effective churn events, per shard.
+    churn: Vec<Vec<(u32, u8)>>,
     /// Per-destination-shard count of envelopes routed across a shard
-    /// boundary this round (recorder-only accounting; left untouched when
-    /// no recorder is installed).
-    cross_shard_scratch: Vec<u64>,
+    /// boundary this tick (kept only while a recorder is installed).
+    cross_shard: Vec<u64>,
+    /// Ticks fully executed, skipped idle ticks included.
+    time: u64,
+    ticks_skipped: u64,
 }
 
-impl<'a, T, P, A> ShardedSyncEngine<'a, T, P, A>
+impl<'a, T, P, A> ShardedEngine<'a, T, P, A>
 where
     T: Topology,
-    P: Protocol + Sync,
-    P::Output: Send + Sync,
+    P: Protocol + Clone,
+    P::Message: Wire,
+    P::Output: Wire,
     A: Adversary<P>,
 {
-    /// Create an engine over `shards` contiguous node-id ranges.
-    ///
-    /// The shard count is clamped to `1..=n`; `shards = 1` is the
-    /// sequential fallback (single shard, no scoped-thread fan-out).
+    /// Create an engine with the given layout.
     ///
     /// # Panics
     /// Panics if `states.len()` or `byzantine.len()` differ from the
@@ -348,62 +368,58 @@ where
         adversary: A,
         config: EngineConfig,
         seed: u64,
-        shards: usize,
+        layout: Layout,
     ) -> Self {
         let n = topology.len();
         assert_eq!(states.len(), n, "one protocol state per node required");
         assert_eq!(byzantine.len(), n, "byzantine mask must cover every node");
+        let (shards, clocks) = match layout {
+            Layout::InProcess { shards, clocks } => (shards, clocks),
+            Layout::Wire { shards, .. } => (shards, ClockPlan::Uniform),
+        };
         let bounds = shard_bounds(n, shards);
-        let shard_count = bounds.len() - 1;
+        let count = bounds.len() - 1;
         let mut shard_of = vec![0u32; n];
-        for (s, w) in bounds.windows(2).enumerate() {
-            for owner in &mut shard_of[w[0]..w[1]] {
-                *owner = s as u32;
-            }
-        }
-        // Node RNG streams are derived per *node*, exactly as in
-        // `SyncEngine` — the shard layout must never reach the randomness.
-        let rngs = (0..n)
-            .map(|i| ChaCha8Rng::seed_from_u64(splitmix(seed, i as u64)))
+        let shards = bounds
+            .windows(2)
+            .enumerate()
+            .map(|(s, w)| {
+                shard_of[w[0]..w[1]].fill(s as u32);
+                Shard::new(w[0], byzantine[w[0]..w[1]].to_vec(), seed, clocks)
+            })
             .collect();
-        ShardedSyncEngine {
+        ShardedEngine {
             topology,
+            layout,
+            config,
+            seed,
             states,
             byzantine,
+            statuses: vec![NodeStatus::Active; n],
+            churned_down: vec![false; n],
             adversary,
-            config,
-            rngs,
             adversary_rng: ChaCha8Rng::seed_from_u64(splitmix(seed, u64::MAX)),
-            inboxes: vec![Vec::new(); n],
-            next_inboxes: vec![Vec::new(); n],
-            outboxes: (0..n).map(|_| Outbox::new()).collect(),
-            actions: vec![Action::Continue; n],
+            fault_plan: None,
+            recorder: None,
             bounds,
             shard_of,
-            shard_honest: (0..shard_count).map(|_| Vec::new()).collect(),
-            shard_byz: (0..shard_count).map(|_| Vec::new()).collect(),
+            links: Links::Local(shards),
+            metrics: RunMetrics::default(),
             honest_arena: Vec::new(),
             byz_default: Vec::new(),
+            transitions: Vec::new(),
             crashed_scratch: Vec::with_capacity(n),
-            statuses: vec![NodeStatus::Active; n],
-            outputs: vec![None; n],
-            decided_round: vec![None; n],
-            router_metrics: RunMetrics::default(),
-            shard_metrics: vec![RunMetrics::default(); shard_count],
-            round: 0,
-            fault_plan: None,
-            shard_deferred: (0..shard_count).map(|_| DelayRing::new()).collect(),
-            reset_state: None,
-            churned_down: vec![false; n],
-            recorder: None,
-            cross_shard_scratch: vec![0; shard_count],
+            churn: vec![Vec::new(); count],
+            cross_shard: vec![0; count],
+            time: 0,
+            ticks_skipped: 0,
         }
     }
 
-    /// Attach a [`Recorder`]; see [`SyncEngine::with_recorder`].
-    pub fn with_recorder(mut self, recorder: &'a dyn Recorder) -> Self {
-        self.recorder = Some(recorder);
-        self
+    /// Install an observation [`Recorder`]; see
+    /// [`SyncEngine::with_recorder`].
+    pub fn with_recorder(self, recorder: &'a dyn Recorder) -> Self {
+        self.with_recorder_opt(Some(recorder))
     }
 
     /// [`with_recorder`](Self::with_recorder) that is a no-op for `None`.
@@ -412,30 +428,29 @@ where
         self
     }
 
-    /// Install a [`FaultPlan`]; see [`SyncEngine::with_fault_plan`].
-    pub fn with_fault_plan(mut self, plan: Box<dyn FaultPlan>) -> Self
-    where
-        P: Clone + Send + 'static,
-    {
-        let pristine: Vec<P> = self.states.clone();
-        self.reset_state = Some(Box::new(move |i| pristine[i].clone()));
+    /// Install a [`FaultPlan`]; see [`SyncEngine::with_fault_plan`].  The
+    /// shards keep pristine clones of their states so churned nodes rejoin
+    /// reset.
+    pub fn with_fault_plan(mut self, plan: Box<dyn FaultPlan>) -> Self {
+        if let Links::Local(shards) = &mut self.links {
+            for shard in shards {
+                shard.keep_pristine(&self.states[shard.start..shard.start + shard.len()]);
+            }
+        }
         self.fault_plan = Some(plan);
         self
     }
 
     /// [`with_fault_plan`](Self::with_fault_plan) that is a no-op for
     /// `None`.
-    pub fn with_fault_plan_opt(self, plan: Option<Box<dyn FaultPlan>>) -> Self
-    where
-        P: Clone + Send + 'static,
-    {
+    pub fn with_fault_plan_opt(self, plan: Option<Box<dyn FaultPlan>>) -> Self {
         match plan {
             Some(plan) => self.with_fault_plan(plan),
             None => self,
         }
     }
 
-    /// Mark nodes as crashed before the first round; see
+    /// Mark nodes as crashed before the first tick; see
     /// [`SyncEngine::with_initial_crashes`].
     pub fn with_initial_crashes(mut self, crashed: &[bool]) -> Self {
         assert_eq!(
@@ -443,380 +458,249 @@ where
             self.statuses.len(),
             "crash mask must cover every node"
         );
-        for (status, &is_crashed) in self.statuses.iter_mut().zip(crashed) {
-            if is_crashed {
-                *status = NodeStatus::Crashed;
+        for i in (0..crashed.len()).filter(|&i| crashed[i]) {
+            self.statuses[i] = NodeStatus::Crashed;
+            if let Links::Local(shards) = &mut self.links {
+                shards[self.shard_of[i] as usize].crash_initially(i);
             }
         }
         self
     }
 
-    /// Number of shards the engine actually runs with (after clamping).
-    pub fn shard_count(&self) -> usize {
-        self.bounds.len() - 1
+    /// The current virtual tick (ticks fully executed, skipped idle ticks
+    /// included).
+    pub fn time(&self) -> u64 {
+        self.time
     }
 
-    /// The current round number (number of rounds fully executed).
-    pub fn round(&self) -> u64 {
-        self.round
+    /// Idle ticks jumped over by sparse ticking so far.
+    pub fn ticks_skipped(&self) -> u64 {
+        self.ticks_skipped
     }
 
-    /// Read access to the per-node protocol states (for instrumentation).
-    pub fn states(&self) -> &[P] {
-        &self.states
-    }
-
-    /// Node statuses so far.
-    pub fn statuses(&self) -> &[NodeStatus] {
-        &self.statuses
-    }
-
-    /// Whether the stop condition has been reached.
+    /// Whether the stop condition has been reached: `max_rounds` caps the
+    /// tick count, or every honest node has decided or crashed.
     pub fn finished(&self) -> bool {
-        if self.round >= self.config.max_rounds {
-            return true;
-        }
-        if self.config.stop_when_all_decided {
-            let all_done = self
-                .statuses
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !self.byzantine[*i])
-                .all(|(_, s)| *s != NodeStatus::Active);
-            if all_done {
-                return true;
-            }
-        }
-        false
+        self.time >= self.config.max_rounds
+            || (self.config.stop_when_all_decided
+                && self
+                    .statuses
+                    .iter()
+                    .zip(&self.byzantine)
+                    .all(|(s, &byz)| byz || *s != NodeStatus::Active))
     }
 
-    /// Execute one round.  Returns `false` when the stop condition has been
-    /// reached (the round is still executed).
-    pub fn step_round(&mut self) -> bool {
-        let n = self.topology.len();
-        self.router_metrics.begin_round();
-        for metrics in &mut self.shard_metrics {
-            metrics.begin_round();
-        }
-        let round = self.round;
-
-        // Observability: snapshot the per-shard and router metrics so the
-        // round's deltas can be emitted at the end.  All of this is behind
-        // one `Option` check; recorders never see (or touch) engine state.
+    /// Execute one tick.  Returns `false` when the stop condition has been
+    /// reached (the tick is still executed).
+    ///
+    /// # Errors
+    /// A lost shard channel; see [`run`](Self::run).
+    pub fn step_tick(&mut self) -> Result<bool, RunError> {
+        let tick = self.time;
         let rec = self.recorder;
-        let router_snap = rec.map(|_| MetricsSnap::of(&self.router_metrics));
-        let shard_snaps: Vec<MetricsSnap> = if rec.is_some() {
-            self.shard_metrics.iter().map(MetricsSnap::of).collect()
-        } else {
-            Vec::new()
+        self.metrics.begin_round();
+        let router_snap = MetricsSnap::of(&self.metrics);
+        let shard_snaps: Vec<MetricsSnap> = match (&self.links, rec) {
+            (Links::Local(shards), Some(_)) => {
+                shards.iter().map(|s| MetricsSnap::of(&s.metrics)).collect()
+            }
+            _ => Vec::new(),
         };
         if let Some(rec) = rec {
-            for c in &mut self.cross_shard_scratch {
-                *c = 0;
-            }
-            rec.phase_begin(SHARD_ROUTER, round, Phase::Round);
-            rec.phase_begin(SHARD_ROUTER, round, Phase::Churn);
+            self.cross_shard.fill(0);
+            rec.phase_begin(SHARD_ROUTER, tick, Phase::Round);
+            rec.phase_begin(SHARD_ROUTER, tick, Phase::Churn);
         }
-
-        // Phase 0: churn transitions — global and sequential, exactly the
-        // unsharded order (the plan's RNG stream depends on it).
-        if let Some(plan) = self.fault_plan.as_mut() {
-            for event in plan.begin_round(round) {
-                match event {
-                    ChurnEvent::Crash(v) => {
-                        let i = v.index();
-                        if i < n && !self.byzantine[i] && self.statuses[i] != NodeStatus::Crashed {
-                            self.statuses[i] = NodeStatus::Crashed;
-                            self.churned_down[i] = true;
-                            self.router_metrics.record_churn_crash();
-                        }
-                    }
-                    ChurnEvent::Recover(v) => {
-                        let i = v.index();
-                        if i < n && self.churned_down[i] && self.statuses[i] == NodeStatus::Crashed
-                        {
-                            if let Some(reset) = self.reset_state.as_ref() {
-                                self.states[i] = reset(i);
-                                self.outputs[i] = None;
-                                self.decided_round[i] = None;
-                                self.statuses[i] = NodeStatus::Active;
-                                self.churned_down[i] = false;
-                                self.inboxes[i].clear();
-                                self.router_metrics.record_churn_recovery();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
+        self.churn(tick);
         if let Some(rec) = rec {
-            rec.phase_end(SHARD_ROUTER, round, Phase::Churn);
+            rec.phase_end(SHARD_ROUTER, tick, Phase::Churn);
         }
 
-        // Phase 1: per-shard compute.  Each shard receives disjoint mutable
-        // slices of the node-indexed state plus its owned arenas; statuses,
-        // outputs, inboxes and the topology are shared read-only.  Node
-        // results are bit-identical to the sequential loop because every
-        // node owns its RNG stream and lands in node order within its
-        // shard.
-        {
-            let mut tasks: Vec<ShardTask<'_, P>> = Vec::with_capacity(self.shard_count());
-            {
-                let mut states = self.states.as_mut_slice();
-                let mut rngs = self.rngs.as_mut_slice();
-                let mut outboxes = self.outboxes.as_mut_slice();
-                let mut actions = self.actions.as_mut_slice();
-                let mut honest = self.shard_honest.iter_mut();
-                let mut byz = self.shard_byz.iter_mut();
-                for (s, w) in self.bounds.windows(2).enumerate() {
-                    let len = w[1] - w[0];
-                    let (task_states, rest) = states.split_at_mut(len);
-                    states = rest;
-                    let (task_rngs, rest) = rngs.split_at_mut(len);
-                    rngs = rest;
-                    let (task_outboxes, rest) = outboxes.split_at_mut(len);
-                    outboxes = rest;
-                    let (task_actions, rest) = actions.split_at_mut(len);
-                    actions = rest;
-                    tasks.push(ShardTask {
-                        shard: s as u32,
-                        start: w[0],
-                        states: task_states,
-                        rngs: task_rngs,
-                        outboxes: task_outboxes,
-                        actions: task_actions,
-                        honest: honest.next().expect("one arena per shard"),
-                        byz: byz.next().expect("one buffer per shard"),
-                    });
-                }
-            }
-            let inboxes = &self.inboxes;
-            let statuses = &self.statuses;
-            let outputs = &self.outputs;
-            let byzantine = &self.byzantine;
-            let topology = self.topology;
-            for_each_shard(&mut tasks, &|task: &mut ShardTask<'_, P>| {
-                // The shard's compute is its `node-step` span, reported
-                // under its own tid (recorders are `Sync`: shards may run
-                // on scoped threads).
-                if let Some(rec) = rec {
-                    rec.phase_begin(task.shard, round, Phase::NodeStep);
-                }
-                for local in 0..task.states.len() {
-                    let i = task.start + local;
-                    let outbox = &mut task.outboxes[local];
-                    outbox.clear();
-                    if statuses[i] == NodeStatus::Crashed {
-                        task.actions[local] = Action::Continue;
-                        continue;
-                    }
-                    let id = NodeId::from_index(i);
-                    let ctx = NodeContext {
-                        id,
-                        round,
-                        neighbors: topology.neighbors(id),
-                        decided: outputs[i].is_some(),
-                    };
-                    task.actions[local] =
-                        task.states[local].step(&ctx, &inboxes[i], outbox, &mut task.rngs[local]);
-                }
-                // Drain the shard's outboxes into its own arenas, in node
-                // order — no clones, no sharing.
-                for local in 0..task.outboxes.len() {
-                    let i = task.start + local;
-                    let target: &mut Vec<Envelope<P::Message>> =
-                        if byzantine[i] { task.byz } else { task.honest };
-                    task.outboxes[local]
-                        .drain_envelopes(NodeId::from_index(i), |env| target.push(env));
-                }
-                if let Some(rec) = rec {
-                    rec.phase_end(task.shard, round, Phase::NodeStep);
-                }
-            });
-        }
-
-        if let Some(rec) = rec {
-            rec.phase_begin(SHARD_ROUTER, round, Phase::AdversaryCut);
-        }
-
-        // Cross-shard routing, step 1: gather the shard arenas in shard
-        // order.  Shards are contiguous node ranges, so the gathered stream
-        // is in global node order — exactly what the unsharded engine's
-        // phase 2 produces, which keeps the adversary's view and the fault
-        // plan's consultation order aligned.
         self.honest_arena.clear();
         self.byz_default.clear();
-        for arena in &mut self.shard_honest {
-            self.honest_arena.append(arena);
+        match &mut self.links {
+            Links::Local(shards) => {
+                let topology = self.topology;
+                let mut rest = self.states.as_mut_slice();
+                let mut tasks: Vec<(u32, &mut Shard<P>, &mut [P])> = Vec::new();
+                for (s, shard) in shards.iter_mut().enumerate() {
+                    let (mine, tail) = std::mem::take(&mut rest).split_at_mut(shard.len());
+                    rest = tail;
+                    tasks.push((s as u32, shard, mine));
+                }
+                for_each_shard(&mut tasks, &|(s, shard, states)| {
+                    if let Some(rec) = rec {
+                        rec.phase_begin(*s, tick, Phase::NodeStep);
+                    }
+                    shard.open(tick, states, topology);
+                    if let Some(rec) = rec {
+                        rec.phase_end(*s, tick, Phase::NodeStep);
+                    }
+                });
+                for shard in shards.iter_mut() {
+                    self.honest_arena.append(&mut shard.honest);
+                    self.byz_default.append(&mut shard.byz);
+                    self.transitions.append(&mut shard.transitions);
+                }
+            }
+            Links::Remote(remote) => {
+                remote.open(tick, &mut self.churn)?;
+                remote.gather::<P::Output>(
+                    &mut self.honest_arena,
+                    &mut self.byz_default,
+                    &mut self.transitions,
+                )?;
+            }
         }
-        for buffer in &mut self.shard_byz {
-            self.byz_default.append(buffer);
+
+        if let Some(rec) = rec {
+            rec.phase_begin(SHARD_ROUTER, tick, Phase::AdversaryCut);
         }
         self.crashed_scratch.clear();
         self.crashed_scratch
             .extend(self.statuses.iter().map(|s| *s == NodeStatus::Crashed));
-        let decision = {
-            let view = AdversaryView {
-                round,
-                byzantine: &self.byzantine,
-                crashed: &self.crashed_scratch,
-                states: &self.states,
-                honest_messages: &self.honest_arena,
-                byzantine_default_messages: &self.byz_default,
-            };
-            self.adversary.act(&view, &mut self.adversary_rng)
+        let view = AdversaryView {
+            round: tick,
+            byzantine: &self.byzantine,
+            crashed: &self.crashed_scratch,
+            states: &self.states,
+            honest_messages: &self.honest_arena,
+            byzantine_default_messages: &self.byz_default,
         };
-
-        // Phase 3: apply actions (honest nodes only), after the adversary
-        // observed the pre-action statuses.
-        for i in 0..n {
-            if self.byzantine[i] || self.statuses[i] == NodeStatus::Crashed {
-                continue;
-            }
-            match std::mem::replace(&mut self.actions[i], Action::Continue) {
-                Action::Continue => {}
-                Action::Decide(output) => {
-                    if self.outputs[i].is_none() {
-                        self.outputs[i] = Some(output);
-                        self.decided_round[i] = Some(round);
-                        self.statuses[i] = NodeStatus::Decided;
-                    }
-                }
-                Action::Crash => {
-                    self.statuses[i] = NodeStatus::Crashed;
-                }
-            }
+        let decision = self.adversary.act(&view, &mut self.adversary_rng);
+        for (node, op) in self.transitions.drain(..) {
+            self.statuses[node as usize] = if op == TRANSITION_DECIDED {
+                NodeStatus::Decided
+            } else {
+                NodeStatus::Crashed
+            };
         }
-
         if let Some(rec) = rec {
-            // Arena high-water marks at their per-round peak: the gathered
-            // streams, before the router drains them (same observation
-            // point as the unsharded engine).
-            rec.gauge(
-                SHARD_ROUTER,
-                round,
-                Gauge::HonestArenaHighWater,
-                self.honest_arena.len() as u64,
-            );
-            rec.gauge(
-                SHARD_ROUTER,
-                round,
-                Gauge::ByzArenaHighWater,
-                self.byz_default.len() as u64,
-            );
-            rec.phase_end(SHARD_ROUTER, round, Phase::AdversaryCut);
-            rec.phase_begin(SHARD_ROUTER, round, Phase::Routing);
+            let honest = self.honest_arena.len() as u64;
+            rec.gauge(SHARD_ROUTER, tick, Gauge::HonestArenaHighWater, honest);
+            let byz = self.byz_default.len() as u64;
+            rec.gauge(SHARD_ROUTER, tick, Gauge::ByzArenaHighWater, byz);
+            rec.phase_end(SHARD_ROUTER, tick, Phase::AdversaryCut);
+            rec.phase_begin(SHARD_ROUTER, tick, Phase::Routing);
         }
 
-        // Cross-shard routing, step 2: validate, account and route every
-        // envelope — honest stream first, then the Byzantine path, in the
-        // unsharded engine's exact order (the fault plan's RNG stream
-        // depends on it).  Deliveries land in the destination shard's
-        // next-round inbox and are accounted in that shard's metrics.
+        // Honest stream first, then the Byzantine path: the reference
+        // engine's order, which the fault plan's RNG stream depends on.
         let mut honest = std::mem::take(&mut self.honest_arena);
         for env in honest.drain(..) {
-            self.route(round, env, false);
+            self.route(tick, env, false);
         }
         self.honest_arena = honest;
         match decision {
             AdversaryDecision::FollowProtocol => {
                 let mut byz = std::mem::take(&mut self.byz_default);
                 for env in byz.drain(..) {
-                    self.route(round, env, false);
+                    self.route(tick, env, false);
                 }
                 self.byz_default = byz;
             }
             AdversaryDecision::Replace(msgs) => {
                 for env in msgs {
-                    self.route(round, env, true);
+                    self.route(tick, env, true);
                 }
             }
         }
-
         if let Some(rec) = rec {
-            rec.phase_end(SHARD_ROUTER, round, Phase::Routing);
+            rec.phase_end(SHARD_ROUTER, tick, Phase::Routing);
         }
 
-        // Phase 5: every shard drains the deferred envelopes due in its own
-        // ring this round.  Shard order again equals global node order per
-        // destination, and each destination lives in exactly one ring, so
-        // per-inbox arrival order matches the unsharded engine.
-        {
-            let statuses = &self.statuses;
-            let next_inboxes = &mut self.next_inboxes;
-            for (s, (ring, metrics)) in self
-                .shard_deferred
-                .iter_mut()
-                .zip(self.shard_metrics.iter_mut())
-                .enumerate()
-            {
-                if let Some(rec) = rec {
-                    rec.phase_begin(s as u32, round, Phase::DeferredDrain);
-                }
-                ring.drain_due(round, |env| {
-                    if statuses[env.to.index()] == NodeStatus::Crashed {
-                        metrics.record_fault_expired(1);
-                    } else {
-                        metrics.record_delivery(env.payload.message_size());
-                        next_inboxes[env.to.index()].push(env);
+        match &mut self.links {
+            Links::Local(shards) => {
+                for (s, shard) in shards.iter_mut().enumerate() {
+                    let s = s as u32;
+                    if let Some(rec) = rec {
+                        rec.phase_begin(s, tick, Phase::DeferredDrain);
                     }
-                });
-                if let Some(rec) = rec {
-                    rec.phase_end(s as u32, round, Phase::DeferredDrain);
-                    rec.gauge(
-                        s as u32,
-                        round,
-                        Gauge::DelayRingPending,
-                        ring.in_flight() as u64,
-                    );
+                    shard.drain();
+                    if let Some(rec) = rec {
+                        rec.phase_end(s, tick, Phase::DeferredDrain);
+                        rec.gauge(s, tick, Gauge::DelayRingPending, shard.in_flight);
+                        let scheduled = shard.queue.scheduled() as u64;
+                        rec.gauge(s, tick, Gauge::CalendarOccupancy, scheduled);
+                        emit_metric_deltas(
+                            rec,
+                            s,
+                            tick,
+                            shard_snaps[s as usize],
+                            MetricsSnap::of(&shard.metrics),
+                        );
+                    }
                 }
             }
+            Links::Remote(remote) => remote.close()?,
         }
 
         if let Some(rec) = rec {
-            // Per-shard delivery/expiry deltas, cross-shard routing volume
-            // (under the destination shard), then the router's own
-            // accounting (validation drops, fault losses/delays, churn) and
-            // the round marker under [`SHARD_ROUTER`].  Summed over every
-            // tid, the trace reproduces `RunMetrics` exactly — that is the
-            // trace-vs-truth contract.
-            for (s, (snap, after)) in shard_snaps
-                .iter()
-                .zip(self.shard_metrics.iter())
-                .enumerate()
-            {
-                emit_metric_deltas(rec, s as u32, round, *snap, MetricsSnap::of(after));
-                let crossed = self.cross_shard_scratch[s];
+            for (s, &crossed) in self.cross_shard.iter().enumerate() {
                 if crossed > 0 {
-                    rec.add(s as u32, round, Counter::CrossShardRouted, crossed);
+                    rec.add(s as u32, tick, Counter::CrossShardRouted, crossed);
                 }
             }
-            emit_metric_deltas(
-                rec,
-                SHARD_ROUTER,
-                round,
-                router_snap.expect("snapshotted with recorder"),
-                MetricsSnap::of(&self.router_metrics),
-            );
-            rec.add(SHARD_ROUTER, round, Counter::Rounds, 1);
-            rec.phase_end(SHARD_ROUTER, round, Phase::Round);
+            let router_now = MetricsSnap::of(&self.metrics);
+            emit_metric_deltas(rec, SHARD_ROUTER, tick, router_snap, router_now);
+            rec.add(SHARD_ROUTER, tick, Counter::Rounds, 1);
+            rec.phase_end(SHARD_ROUTER, tick, Phase::Round);
         }
-
-        // Round boundary: swap the double-buffered inboxes, keep capacity.
-        std::mem::swap(&mut self.inboxes, &mut self.next_inboxes);
-        for inbox in &mut self.next_inboxes {
-            inbox.clear();
-        }
-
-        self.round += 1;
-        !self.finished()
+        self.time += 1;
+        Ok(!self.finished())
     }
 
-    /// Validate, account and route one envelope queued in `round` into its
-    /// destination shard (mirrors `SyncEngine::deliver`; the validation
-    /// rules are literally shared via [`envelope_admissible`]).
-    fn route(&mut self, round: u64, env: Envelope<P::Message>, authored_by_adversary: bool) {
+    /// Consult the fault plan's churn for `tick` in plan order, apply the
+    /// effective events to the router's statuses, and hand them to the
+    /// owning shards (in-process shards apply them now; a channel carries
+    /// them with the tick's opening frame).
+    fn churn(&mut self, tick: u64) {
+        let Some(plan) = self.fault_plan.as_mut() else {
+            return;
+        };
+        let n = self.statuses.len();
+        for event in plan.begin_round(tick) {
+            let (i, op) = match event {
+                ChurnEvent::Crash(v) => (v.index(), CHURN_CRASH),
+                ChurnEvent::Recover(v) => (v.index(), CHURN_RECOVER),
+            };
+            if i >= n {
+                continue;
+            }
+            if op == CHURN_CRASH {
+                if self.byzantine[i] || self.statuses[i] == NodeStatus::Crashed {
+                    continue;
+                }
+                self.statuses[i] = NodeStatus::Crashed;
+                self.churned_down[i] = true;
+                self.metrics.record_churn_crash();
+            } else {
+                // Only crashes the fault layer itself injected are
+                // recoverable.
+                if !self.churned_down[i] || self.statuses[i] != NodeStatus::Crashed {
+                    continue;
+                }
+                self.statuses[i] = NodeStatus::Active;
+                self.churned_down[i] = false;
+                self.metrics.record_churn_recovery();
+            }
+            self.churn[self.shard_of[i] as usize].push((i as u32, op));
+        }
+        if let Links::Local(shards) = &mut self.links {
+            for (shard, churn) in shards.iter_mut().zip(&mut self.churn) {
+                let states = &mut self.states[shard.start..shard.start + shard.len()];
+                shard
+                    .apply_churn(churn, states)
+                    .expect("the router only emits valid churn for shards it set up");
+                churn.clear();
+            }
+        }
+    }
+
+    /// Validate, account and route one envelope queued at `tick` into its
+    /// destination shard (the validation rules are shared with
+    /// [`SyncEngine`] via [`envelope_admissible`]).
+    fn route(&mut self, tick: u64, env: Envelope<P::Message>, authored_by_adversary: bool) {
         if !envelope_admissible(
             self.topology,
             &self.statuses,
@@ -824,86 +708,210 @@ where
             &env,
             authored_by_adversary,
         ) {
-            self.router_metrics.record_drop();
+            self.metrics.record_drop();
             return;
         }
+        // The fault layer only touches honest traffic.
         let fate = match self.fault_plan.as_mut() {
             Some(plan) if !self.byzantine[env.from.index()] => {
-                plan.envelope_fate(round, env.from, env.to)
+                plan.envelope_fate(tick, env.from, env.to)
             }
             _ => EnvelopeFate::Deliver,
         };
-        let dest_shard = self.shard_of[env.to.index()] as usize;
-        if self.recorder.is_some() && self.shard_of[env.from.index()] as usize != dest_shard {
-            self.cross_shard_scratch[dest_shard] += 1;
+        let dest = self.shard_of[env.to.index()] as usize;
+        if self.recorder.is_some() && self.shard_of[env.from.index()] as usize != dest {
+            self.cross_shard[dest] += 1;
         }
-        match fate {
-            // `Delay(0)` accounts as plain delivery in every engine (see
-            // the cross-engine regression test in `sharded_async`).
-            EnvelopeFate::Deliver | EnvelopeFate::Delay(0) => {
-                self.shard_metrics[dest_shard].record_delivery(env.payload.message_size());
-                self.next_inboxes[env.to.index()].push(env);
+        let due = match fate {
+            // A zero-tick delay is indistinguishable from plain delivery,
+            // so it must account as one.
+            EnvelopeFate::Deliver | EnvelopeFate::Delay(0) => None,
+            EnvelopeFate::Drop => {
+                self.metrics.record_fault_loss();
+                return;
             }
-            EnvelopeFate::Drop => self.router_metrics.record_fault_loss(),
             EnvelopeFate::Delay(delay) => {
-                self.router_metrics.record_fault_delay();
-                self.shard_deferred[dest_shard].push(round, round + delay, env);
+                self.metrics.record_fault_delay();
+                Some(tick + delay)
             }
+        };
+        match &mut self.links {
+            Links::Local(shards) => shards[dest].accept(due, env),
+            Links::Remote(remote) => remote.accept(dest, due, env),
         }
     }
 
-    /// Run until the stop condition and return the result.
-    pub fn run(mut self) -> RunResult<P::Output> {
+    /// Jump over the idle ticks ahead — ticks at which no shard has an
+    /// event — replaying in bulk what executing them would have recorded:
+    /// an empty per-round slot on every metrics stream, and the recorder's
+    /// round count.
+    fn skip_idle_ticks(&mut self) {
+        // Sparse ticking's two guards: an adversary that is a no-op on idle
+        // ticks, and no fault plan (a plan is consulted every tick).
+        if !self.adversary.idle_passive() || self.fault_plan.is_some() {
+            return;
+        }
+        let Links::Local(shards) = &mut self.links else {
+            return;
+        };
+        let max = self.config.max_rounds;
+        let target = shards
+            .iter()
+            .filter_map(|shard| shard.next_event(self.time))
+            .min()
+            .unwrap_or(max)
+            .min(max);
+        if target <= self.time {
+            return;
+        }
+        let skipped = target - self.time;
+        self.metrics.skip_rounds(skipped);
+        for shard in shards {
+            shard.metrics.skip_rounds(skipped);
+        }
+        self.ticks_skipped += skipped;
+        if let Some(rec) = self.recorder {
+            rec.add(SHARD_ROUTER, self.time, Counter::Rounds, skipped);
+            rec.add(SHARD_ROUTER, self.time, Counter::TicksSkipped, skipped);
+        }
+        self.time = target;
+    }
+
+    /// Advance to the next tick at which anything can happen and execute
+    /// it.  Returns `false` when the stop condition has been reached
+    /// (possibly by the skip alone — it never crosses `max_rounds`).
+    ///
+    /// # Errors
+    /// A lost shard channel; see [`run`](Self::run).
+    pub fn advance(&mut self) -> Result<bool, RunError> {
+        self.skip_idle_ticks();
+        if self.finished() {
+            return Ok(false);
+        }
+        self.step_tick()
+    }
+
+    /// Run until the stop condition and return the result.  A
+    /// [`Layout::Wire`] run moves its shards behind their channels first.
+    ///
+    /// # Errors
+    /// A shard channel failing mid-conversation (a torn frame, a dead
+    /// worker process, an incompatible hello) surfaces as
+    /// [`RunError::WorkerLost`]; a fleet address that cannot be dialed as
+    /// [`RunError::Fleet`].  This path never panics on wire faults.
+    pub fn run(mut self) -> Result<RunResult<P::Output>, RunError> {
+        let fleet = match &self.layout {
+            Layout::InProcess { .. } => return self.drive(),
+            Layout::Wire { fleet, .. } => fleet.clone().filter(|f| !f.addrs.is_empty()),
+        };
+        let Links::Local(shards) = std::mem::replace(&mut self.links, Links::Local(Vec::new()))
+        else {
+            unreachable!("an engine starts with its shards in process")
+        };
+        let states = std::mem::take(&mut self.states);
+        if let Some(fleet) = fleet {
+            // The workers rebuild their ranges from the fleet's payload, so
+            // the coordinator keeps no per-node state at all.
+            drop((shards, states));
+            let pristine = self.fault_plan.is_some();
+            let chans = fleet.dial(&self.bounds, self.seed, pristine, &self.statuses)?;
+            self.links = Links::Remote(Remote::new(chans));
+            return self.drive();
+        }
+        // Pipe workers return `Result` and never panic; when the
+        // coordinator errors out, dropping its channel ends gives every
+        // worker EOF and the scope joins cleanly.
+        let topology = self.topology;
+        let hello = WireHello::current(SPEC_VERSION_ANY);
+        std::thread::scope(|scope| {
+            let mut states = states.into_iter();
+            let mut chans: Vec<Box<dyn Channel>> = Vec::with_capacity(shards.len());
+            for shard in shards {
+                let mine: Vec<P> = states.by_ref().take(shard.len()).collect();
+                let (coord, mut worker) = duplex();
+                let hello = hello.clone();
+                scope.spawn(move || -> Result<(), WireError> {
+                    pipe_hello(&mut worker, &hello)?;
+                    serve(topology, shard, mine, &mut worker)
+                });
+                chans.push(Box::new(coord));
+            }
+            for (s, chan) in chans.iter_mut().enumerate() {
+                pipe_hello(chan, &hello).map_err(lost(s, "hello"))?;
+            }
+            self.links = Links::Remote(Remote::new(chans));
+            self.drive()
+        })
+    }
+
+    fn drive(mut self) -> Result<RunResult<P::Output>, RunError> {
         while !self.finished() {
-            self.step_round();
+            self.advance()?;
         }
         self.into_result()
     }
 
     /// Consume the engine and produce the result without running further.
-    pub fn into_result(mut self) -> RunResult<P::Output> {
-        // Envelopes still in flight expire in their destination shard —
-        // including messages delayed past the final round into a shard
-        // other than the sender's.
-        for (s, (ring, metrics)) in self
-            .shard_deferred
-            .iter()
-            .zip(self.shard_metrics.iter_mut())
-            .enumerate()
-        {
-            let in_flight = ring.in_flight() as u64;
-            if in_flight > 0 {
-                metrics.record_fault_expired(in_flight);
-                if let Some(rec) = self.recorder {
-                    // Mirror the end-of-run expiries so trace-derived
-                    // totals keep matching `RunMetrics` bit-for-bit.
-                    rec.add(s as u32, self.round, Counter::MessagesExpired, in_flight);
+    /// Deferred envelopes still in flight expire in their destination
+    /// shard, never delivered.
+    ///
+    /// # Errors
+    /// A lost shard channel; see [`run`](Self::run).
+    pub fn into_result(self) -> Result<RunResult<P::Output>, RunError> {
+        let (rec, time) = (self.recorder, self.time);
+        let outcomes = match self.links {
+            Links::Local(shards) => shards
+                .into_iter()
+                .enumerate()
+                .map(|(s, mut shard)| {
+                    let before = MetricsSnap::of(&shard.metrics);
+                    shard.finish();
+                    if let Some(rec) = rec {
+                        let after = MetricsSnap::of(&shard.metrics);
+                        emit_metric_deltas(rec, s as u32, time, before, after);
+                    }
+                    (shard.metrics, shard.outputs, shard.decided_round)
+                })
+                .collect(),
+            Links::Remote(remote) => {
+                let outcomes = remote.finish::<P::Output>(&self.bounds)?;
+                if let Some(rec) = rec {
+                    // A worker's delivery-side totals reach the coordinator
+                    // only in its final frame.
+                    for (s, (shard, ..)) in outcomes.iter().enumerate() {
+                        let totals = MetricsSnap::of(shard);
+                        emit_metric_deltas(rec, s as u32, time, MetricsSnap::default(), totals);
+                    }
                 }
+                outcomes
             }
-        }
-        let mut metrics = self.router_metrics;
-        for shard in &self.shard_metrics {
-            metrics.absorb_shard(shard);
+        };
+        let mut metrics = self.metrics;
+        let n = self.statuses.len();
+        let (mut outputs, mut decided_round) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (shard, shard_outputs, decided) in outcomes {
+            metrics.absorb_shard(&shard);
+            outputs.extend(shard_outputs);
+            decided_round.extend(decided);
         }
         let completed = self
             .statuses
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.byzantine[*i])
-            .all(|(_, s)| *s != NodeStatus::Active);
+            .zip(&self.byzantine)
+            .all(|(s, &byz)| byz || *s != NodeStatus::Active);
         let crashed = self
             .statuses
             .iter()
             .map(|s| *s == NodeStatus::Crashed)
             .collect();
-        RunResult {
-            outputs: self.outputs,
-            decided_round: self.decided_round,
+        Ok(RunResult {
+            outputs,
+            decided_round,
             crashed,
             statuses: self.statuses,
             metrics,
             completed,
-        }
+        })
     }
 }
 
@@ -911,97 +919,112 @@ where
 mod tests {
     use super::*;
     use crate::adversary::NullAdversary;
-    use crate::message::SizedMessage;
-    use netsim_faults::FaultSpec;
-    use netsim_graph::Csr;
-    use rand::Rng;
+    use crate::fixtures::{
+        assert_results_equal, flood_states, full_fault_stack, line_graph, MaxFlood, Shouter,
+    };
+    use netsim_graph::{Csr, NodeId};
+    use netsim_trace::CounterSet;
 
-    #[derive(Clone, Debug, PartialEq)]
-    struct Val(u64);
-    impl MessageSize for Val {
-        fn message_size(&self) -> SizedMessage {
-            SizedMessage::new(0, 64)
-        }
-    }
-    impl netsim_wire::Wire for Val {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.0.encode(out);
-        }
-        fn decode(r: &mut netsim_wire::Reader<'_>) -> Result<Self, netsim_wire::WireError> {
-            Ok(Val(<u64 as netsim_wire::Wire>::decode(r)?))
-        }
-    }
+    type Engine<'g> = ShardedEngine<'g, Csr, MaxFlood, Box<dyn Adversary<MaxFlood>>>;
 
-    /// Max-flooding (the engine test-suite workhorse): every node starts
-    /// with a random value and forwards the maximum it has seen.
-    #[derive(Clone)]
-    struct MaxFlood {
-        value: u64,
-        best: u64,
+    /// Max-flood on a line of `n` nodes, with optional Byzantine shouters,
+    /// initial crashes and a fault plan.
+    #[derive(Clone, Copy)]
+    struct Case {
+        n: usize,
         ttl: u64,
-        started: bool,
+        seed: u64,
+        cfg: EngineConfig,
+        /// Byzantine nodes; any makes the adversary a [`Shouter`].
+        byzantine: &'static [usize],
+        crashed: &'static [usize],
+        plan: fn(&Case) -> Option<Box<dyn FaultPlan>>,
     }
 
-    impl Protocol for MaxFlood {
-        type Message = Val;
-        type Output = u64;
-        fn step(
-            &mut self,
-            ctx: &NodeContext<'_>,
-            inbox: &[Envelope<Val>],
-            outbox: &mut Outbox<Val>,
-            rng: &mut ChaCha8Rng,
-        ) -> Action<u64> {
-            if !self.started {
-                self.started = true;
-                if self.value == 0 {
-                    self.value = rng.gen::<u64>() | 1;
-                }
-                self.best = self.value;
-                outbox.broadcast(ctx.neighbors.iter(), Val(self.best));
-                return Action::Continue;
+    impl Case {
+        fn new(n: usize, ttl: u64, seed: u64) -> Self {
+            Case {
+                n,
+                ttl,
+                seed,
+                cfg: EngineConfig::default(),
+                byzantine: &[],
+                crashed: &[],
+                plan: |_| None,
             }
-            let mut improved = false;
-            for env in inbox {
-                if env.payload.0 > self.best {
-                    self.best = env.payload.0;
-                    improved = true;
-                }
-            }
-            if improved {
-                outbox.broadcast(ctx.neighbors.iter(), Val(self.best));
-            }
-            if ctx.round >= self.ttl {
-                Action::Decide(self.best)
+        }
+
+        fn mask(&self, nodes: &[usize]) -> Vec<bool> {
+            (0..self.n).map(|i| nodes.contains(&i)).collect()
+        }
+
+        fn adversary(&self) -> Box<dyn Adversary<MaxFlood>> {
+            if self.byzantine.is_empty() {
+                Box::new(NullAdversary)
             } else {
-                Action::Continue
+                Box::new(Shouter)
+            }
+        }
+
+        fn engine<'g>(&self, g: &'g Csr, layout: Layout) -> Engine<'g> {
+            let states = flood_states(self.n, self.ttl);
+            let byzantine = self.mask(self.byzantine);
+            ShardedEngine::new(
+                g,
+                states,
+                byzantine,
+                self.adversary(),
+                self.cfg,
+                self.seed,
+                layout,
+            )
+            .with_fault_plan_opt((self.plan)(self))
+            .with_initial_crashes(&self.mask(self.crashed))
+        }
+
+        /// Run on `layout`, or on the reference engine for `None`.
+        fn run(&self, layout: Option<Layout>) -> RunResult<u64> {
+            let g = line_graph(self.n);
+            match layout {
+                Some(layout) => self.engine(&g, layout).run().expect("pipes never fail"),
+                None => SyncEngine::new(
+                    &g,
+                    flood_states(self.n, self.ttl),
+                    self.mask(self.byzantine),
+                    self.adversary(),
+                    self.cfg,
+                    self.seed,
+                )
+                .with_fault_plan_opt((self.plan)(self))
+                .with_initial_crashes(&self.mask(self.crashed))
+                .run(),
             }
         }
     }
 
-    fn line_graph(n: usize) -> Csr {
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        Csr::from_undirected_edges(n, &edges).unwrap()
+    fn in_process(shards: usize, clocks: ClockPlan) -> Option<Layout> {
+        Some(Layout::InProcess { shards, clocks })
     }
 
-    fn flood_states(n: usize, ttl: u64) -> Vec<MaxFlood> {
-        (0..n)
-            .map(|_| MaxFlood {
-                value: 0,
-                best: 0,
-                ttl,
-                started: false,
-            })
-            .collect()
+    fn piped(shards: usize) -> Option<Layout> {
+        Some(Layout::Wire {
+            shards,
+            fleet: None,
+        })
     }
 
-    fn assert_results_equal(a: &RunResult<u64>, b: &RunResult<u64>, label: &str) {
-        assert_eq!(a.outputs, b.outputs, "{label}: outputs diverged");
-        assert_eq!(a.decided_round, b.decided_round, "{label}: decided_round");
-        assert_eq!(a.crashed, b.crashed, "{label}: crash masks");
-        assert_eq!(a.statuses, b.statuses, "{label}: statuses");
-        assert_eq!(a.metrics, b.metrics, "{label}: metrics");
-        assert_eq!(a.completed, b.completed, "{label}: completed");
+    const STRATIFIED: ClockPlan = ClockPlan::Stratified {
+        every: 3,
+        period: 5,
+    };
+
+    /// Dense execution: every integer tick, no skipping.
+    fn run_dense(mut engine: Engine<'_>) -> RunResult<u64> {
+        while !engine.finished() {
+            engine.step_tick().expect("in process");
+        }
+        assert_eq!(engine.ticks_skipped(), 0, "step_tick loops never skip");
+        engine.into_result().expect("in process")
     }
 
     #[test]
@@ -1010,328 +1033,154 @@ mod tests {
             let bounds = shard_bounds(n, shards);
             assert_eq!(*bounds.first().unwrap(), 0);
             assert_eq!(*bounds.last().unwrap(), n);
-            assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
             assert!(bounds.len() - 1 <= shards.max(1));
-            if n > 0 {
-                // Clamping keeps every shard non-empty and balanced to ±1.
-                let sizes: Vec<usize> = bounds.windows(2).map(|w| w[1] - w[0]).collect();
-                assert!(sizes.iter().all(|&s| s >= 1), "{n}/{shards}: {sizes:?}");
-                let (min, max) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
-                assert!(max - min <= 1, "{n}/{shards}: {sizes:?}");
-            }
+            // Clamping keeps every shard non-empty and balanced to ±1.
+            let sizes: Vec<usize> = bounds.windows(2).map(|w| w[1] - w[0]).collect();
+            assert!(sizes.iter().all(|&s| s >= 1), "{n}/{shards}: {sizes:?}");
+            let (min, max) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
+            assert!(max - min <= 1, "{n}/{shards}: {sizes:?}");
         }
         // Zero nodes still yields a well-formed (empty) single shard.
         assert_eq!(shard_bounds(0, 4), vec![0, 0]);
     }
 
+    /// The parity table: every layout × clock plan × transport on the five
+    /// scenarios.  Under uniform clocks the reference is [`SyncEngine`];
+    /// under other plans, the one-shard in-process layout.
     #[test]
-    fn sharded_clean_runs_match_the_unsharded_engine_for_every_shard_count() {
-        let n = 24;
-        let g = line_graph(n);
-        let reference = SyncEngine::new(
-            &g,
-            flood_states(n, 3 * n as u64),
-            vec![false; n],
-            NullAdversary,
-            EngineConfig::default(),
-            42,
-        )
-        .run();
-        for shards in [1usize, 2, 3, 4, 8, 24, 100] {
-            let sharded = ShardedSyncEngine::new(
-                &g,
-                flood_states(n, 3 * n as u64),
-                vec![false; n],
-                NullAdversary,
-                EngineConfig::default(),
-                42,
-                shards,
-            )
-            .run();
-            assert_results_equal(&reference, &sharded, &format!("S={shards}"));
-        }
-    }
-
-    #[test]
-    fn sharded_faulty_runs_match_the_unsharded_engine() {
-        // The full fault stack: loss + bounded delay + churn + partition.
-        let n = 32;
-        let g = line_graph(n);
-        let spec = FaultSpec::Compose(vec![
-            FaultSpec::Loss { rate: 0.15 },
-            FaultSpec::Delay {
-                max_delay: 3,
-                rate: 0.3,
-            },
-            FaultSpec::Churn {
-                rate: 0.04,
-                downtime: 3,
-            },
-            FaultSpec::Partition {
-                start: 2,
-                duration: 5,
-            },
-        ]);
-        let plan = |seed: u64| {
-            spec.build_plan(n, &vec![true; n], seed ^ 0xFA17)
-                .expect("plan")
-        };
-        let reference = SyncEngine::new(
-            &g,
-            flood_states(n, 90),
-            vec![false; n],
-            NullAdversary,
-            EngineConfig::default(),
-            7,
-        )
-        .with_fault_plan(plan(7))
-        .run();
-        for shards in [1usize, 2, 4, 8] {
-            let sharded = ShardedSyncEngine::new(
-                &g,
-                flood_states(n, 90),
-                vec![false; n],
-                NullAdversary,
-                EngineConfig::default(),
-                7,
-                shards,
-            )
-            .with_fault_plan(plan(7))
-            .run();
-            assert_results_equal(&reference, &sharded, &format!("faulty S={shards}"));
-        }
-        assert!(
-            reference.metrics.messages_lost > 0 && reference.metrics.messages_delayed > 0,
-            "the fault stack must actually have fired for this test to mean anything"
-        );
-    }
-
-    #[test]
-    fn sharded_initial_crashes_match_the_unsharded_engine() {
-        let n = 16;
-        let g = line_graph(n);
-        let mut crashed = vec![false; n];
-        crashed[3] = true;
-        crashed[12] = true;
-        let reference = SyncEngine::new(
-            &g,
-            flood_states(n, 50),
-            vec![false; n],
-            NullAdversary,
-            EngineConfig::default(),
-            5,
-        )
-        .with_initial_crashes(&crashed)
-        .run();
-        let sharded = ShardedSyncEngine::new(
-            &g,
-            flood_states(n, 50),
-            vec![false; n],
-            NullAdversary,
-            EngineConfig::default(),
-            5,
-            4,
-        )
-        .with_initial_crashes(&crashed)
-        .run();
-        assert_results_equal(&reference, &sharded, "initial crashes");
-    }
-
-    /// An adversary that makes Byzantine nodes shout a huge value at node 0
-    /// plus an illegal long-range message (mirrors the engine test suite).
-    struct Shouter;
-    impl Adversary<MaxFlood> for Shouter {
-        fn act(
-            &mut self,
-            view: &AdversaryView<'_, MaxFlood>,
-            _rng: &mut ChaCha8Rng,
-        ) -> AdversaryDecision<Val> {
-            let mut msgs = Vec::new();
-            for (i, &b) in view.byzantine.iter().enumerate() {
-                if b {
-                    msgs.push(Envelope::new(
-                        NodeId::from_index(i),
-                        NodeId(0),
-                        Val(u64::MAX),
-                    ));
-                    msgs.push(Envelope::new(
-                        NodeId::from_index(i),
-                        NodeId(5),
-                        Val(u64::MAX),
-                    ));
+    fn every_layout_matches_its_reference_on_every_scenario() {
+        struct Script;
+        impl FaultPlan for Script {
+            fn begin_round(&mut self, round: u64) -> Vec<ChurnEvent> {
+                match round {
+                    1 => vec![ChurnEvent::Crash(NodeId(2))],
+                    4 => vec![ChurnEvent::Recover(NodeId(2))],
+                    _ => Vec::new(),
                 }
             }
-            AdversaryDecision::Replace(msgs)
         }
-    }
-
-    #[test]
-    fn sharded_adversarial_runs_match_the_unsharded_engine() {
-        let n = 16;
-        let g = line_graph(n);
-        let mut byz = vec![false; n];
-        byz[1] = true;
-        byz[9] = true;
-        let reference = SyncEngine::new(
-            &g,
-            flood_states(n, 30),
-            byz.clone(),
-            Shouter,
-            EngineConfig::default(),
-            3,
-        )
-        .run();
-        for shards in [2usize, 4, 8] {
-            let sharded = ShardedSyncEngine::new(
-                &g,
-                flood_states(n, 30),
-                byz.clone(),
-                Shouter,
-                EngineConfig::default(),
-                3,
-                shards,
-            )
-            .run();
-            assert_results_equal(&reference, &sharded, &format!("adversarial S={shards}"));
-        }
-        assert!(reference.metrics.messages_dropped > 0);
-    }
-
-    #[test]
-    fn cross_shard_delay_past_the_final_round_expires_and_is_never_delivered() {
-        // Regression test for the cross-shard `DelayRing` expiry path: a
-        // message delayed past the run's final round whose *destination*
-        // lives in a different shard than its sender must be counted as
-        // `messages_expired` (in the destination shard's ring), never
-        // delivered.
-        struct DelayAcross;
-        impl FaultPlan for DelayAcross {
-            fn envelope_fate(&mut self, round: u64, from: NodeId, to: NodeId) -> EnvelopeFate {
-                // With n = 8 and S = 2, shard 0 owns 0..4 and shard 1 owns
-                // 4..8: the 3 → 4 edge crosses the shard boundary.
-                if round == 0 && from == NodeId(3) && to == NodeId(4) {
-                    EnvelopeFate::Delay(1000)
+        type Fired = fn(&RunResult<u64>) -> bool;
+        let scenarios: [(&str, Case, Fired); 5] = [
+            ("clean", Case::new(24, 72, 42), |r| r.completed),
+            (
+                "full fault stack",
+                Case {
+                    plan: |c| Some(full_fault_stack(c.n, c.seed)),
+                    ..Case::new(32, 90, 7)
+                },
+                |r| r.metrics.messages_lost > 0 && r.metrics.messages_delayed > 0,
+            ),
+            (
+                "adversary",
+                Case {
+                    byzantine: &[1, 9],
+                    ..Case::new(16, 30, 3)
+                },
+                |r| r.metrics.messages_dropped > 0,
+            ),
+            (
+                "initial crashes",
+                Case {
+                    crashed: &[3, 12],
+                    ..Case::new(16, 50, 5)
+                },
+                |r| r.crashed[3] && r.crashed[12],
+            ),
+            (
+                "scripted churn",
+                Case {
+                    plan: |_| Some(Box::new(Script)),
+                    ..Case::new(8, 24, 17)
+                },
+                |r| r.metrics.churn_recoveries == 1 && !r.crashed[2],
+            ),
+        ];
+        for (label, case, fired) in scenarios {
+            let sync = case.run(None);
+            assert!(fired(&sync), "{label}: the scenario must exercise its path");
+            for clocks in [
+                ClockPlan::Uniform,
+                STRATIFIED,
+                ClockPlan::Jittered { max_period: 6 },
+            ] {
+                let (reference, mut layouts) = if clocks.is_synchronous() {
+                    (sync.clone(), vec![piped(1), piped(2), piped(4)])
                 } else {
-                    EnvelopeFate::Deliver
+                    (case.run(in_process(1, clocks)), Vec::new())
+                };
+                layouts.extend([1, 2, 3, 8, 100].map(|s| in_process(s, clocks)));
+                for layout in layouts {
+                    let label = format!("{label}: {layout:?}");
+                    assert_results_equal(&reference, &case.run(layout), &label);
                 }
             }
         }
-        let n = 8;
-        let g = line_graph(n);
-        let cfg = EngineConfig {
-            max_rounds: 4,
-            stop_when_all_decided: true,
-        };
-        let run = |shards: Option<usize>| match shards {
-            None => SyncEngine::new(
-                &g,
-                flood_states(n, 1000),
-                vec![false; n],
-                NullAdversary,
-                cfg,
-                11,
-            )
-            .with_fault_plan(Box::new(DelayAcross))
-            .run(),
-            Some(s) => ShardedSyncEngine::new(
-                &g,
-                flood_states(n, 1000),
-                vec![false; n],
-                NullAdversary,
-                cfg,
-                11,
-                s,
-            )
-            .with_fault_plan(Box::new(DelayAcross))
-            .run(),
-        };
-        let reference = run(None);
-        let sharded = run(Some(2));
-        assert_results_equal(&reference, &sharded, "cross-shard expiry");
-        assert_eq!(
-            sharded.metrics.messages_delayed, 1,
-            "exactly the boundary-crossing envelope was deferred"
-        );
-        assert_eq!(
-            sharded.metrics.messages_expired, 1,
-            "the deferred envelope must expire at the cap, not deliver"
-        );
-        // Conservation: the deferred envelope is accounted exactly once.
-        assert_eq!(
-            sharded.metrics.messages_delayed,
-            sharded.metrics.messages_expired
-        );
     }
 
     #[test]
-    fn run_with_engine_dispatches_both_kinds_identically() {
+    fn run_with_engine_dispatches_every_kind_identically() {
         let n = 12;
         let g = line_graph(n);
         let run = |engine: EngineKind| {
-            run_with_engine(
-                &g,
-                flood_states(n, 40),
-                vec![false; n],
-                NullAdversary,
-                EngineConfig::default(),
-                9,
-                Exec {
-                    engine,
-                    ..Exec::default()
-                },
-            )
-            .expect("in-process transports are infallible")
+            let exec = Exec {
+                engine,
+                ..Exec::default()
+            };
+            let states = flood_states(n, 40);
+            let config = EngineConfig::default();
+            run_with_engine(&g, states, vec![false; n], NullAdversary, config, 9, exec)
+                .expect("in-process transports are infallible")
         };
         let sync = run(EngineKind::Sync);
-        let sharded = run(EngineKind::Sharded { shards: 3 });
-        assert_results_equal(&sync, &sharded, "run_with_engine");
-        let asynced = run(EngineKind::Async {
-            clocks: ClockPlan::Uniform,
-        });
-        assert_results_equal(&sync, &asynced, "run_with_engine (async)");
-        let sharded_async = run(EngineKind::ShardedAsync {
-            shards: 3,
-            clocks: ClockPlan::Uniform,
-        });
-        assert_results_equal(&sync, &sharded_async, "run_with_engine (sharded-async)");
-        let distributed = run(EngineKind::Distributed { shards: 3 });
-        assert_results_equal(&sync, &distributed, "run_with_engine (distributed)");
-        assert_eq!(EngineKind::Sync.describe(), "sync");
-        assert_eq!(EngineKind::Distributed { shards: 4 }.describe(), "dist-4");
-        assert_eq!(EngineKind::Sharded { shards: 3 }.describe(), "sharded-3");
-        assert_eq!(
+        for engine in [
+            EngineKind::Sharded { shards: 3 },
             EngineKind::Async {
-                clocks: ClockPlan::Uniform
-            }
-            .describe(),
-            "async"
-        );
-        assert_eq!(
-            EngineKind::Async {
-                clocks: ClockPlan::Stratified {
-                    every: 2,
-                    period: 3
-                }
-            }
-            .describe(),
-            "async-strat-2x3"
-        );
-        assert_eq!(
+                clocks: ClockPlan::Uniform,
+            },
             EngineKind::ShardedAsync {
-                shards: 4,
-                clocks: ClockPlan::Uniform
-            }
-            .describe(),
-            "sharded-async-4"
-        );
-        assert_eq!(
-            EngineKind::ShardedAsync {
-                shards: 2,
-                clocks: ClockPlan::Jittered { max_period: 5 }
-            }
-            .describe(),
-            "sharded-async-2-jitter-5"
-        );
+                shards: 3,
+                clocks: ClockPlan::Uniform,
+            },
+            EngineKind::Distributed { shards: 3 },
+        ] {
+            assert_results_equal(&sync, &run(engine), &engine.describe());
+        }
+        for (kind, label) in [
+            (EngineKind::Sync, "sync"),
+            (EngineKind::Distributed { shards: 4 }, "dist-4"),
+            (EngineKind::Sharded { shards: 3 }, "sharded-3"),
+            (
+                EngineKind::Async {
+                    clocks: ClockPlan::Uniform,
+                },
+                "async",
+            ),
+            (
+                EngineKind::Async {
+                    clocks: ClockPlan::Stratified {
+                        every: 2,
+                        period: 3,
+                    },
+                },
+                "async-strat-2x3",
+            ),
+            (
+                EngineKind::ShardedAsync {
+                    shards: 4,
+                    clocks: ClockPlan::Uniform,
+                },
+                "sharded-async-4",
+            ),
+            (
+                EngineKind::ShardedAsync {
+                    shards: 2,
+                    clocks: ClockPlan::Jittered { max_period: 5 },
+                },
+                "sharded-async-2-jitter-5",
+            ),
+        ] {
+            assert_eq!(kind.describe(), label);
+        }
         assert_eq!(EngineKind::default(), EngineKind::Sync);
     }
 
@@ -1349,39 +1198,345 @@ mod tests {
             }
         }
         let _restore = RestoreOverride;
-        let n = 24;
-        let g = line_graph(n);
-        let run = || {
-            ShardedSyncEngine::new(
-                &g,
-                flood_states(n, 60),
-                vec![false; n],
-                NullAdversary,
-                EngineConfig::default(),
-                13,
-                6,
-            )
-            .run()
-        };
+        let case = Case::new(24, 60, 13);
         rayon::set_num_threads_override(Some(1));
-        let sequential = run();
+        let sequential = case.run(in_process(6, ClockPlan::Uniform));
         rayon::set_num_threads_override(Some(8));
-        let fanned_out = run();
+        let fanned_out = case.run(in_process(6, ClockPlan::Uniform));
         assert_results_equal(&sequential, &fanned_out, "worker-count independence");
     }
 
+    // -- Expiry regressions -------------------------------------------------
+
     #[test]
-    fn shard_count_reports_the_clamped_value() {
-        let g = line_graph(4);
-        let engine = ShardedSyncEngine::new(
-            &g,
-            flood_states(4, 10),
-            vec![false; 4],
-            NullAdversary,
-            EngineConfig::default(),
-            0,
-            64,
+    fn delays_past_the_final_tick_expire_in_the_destination_shard() {
+        // With n = 8 and S = 2, shard 0 owns 0..4 and shard 1 owns 4..8:
+        // the 3 → 4 edge crosses the shard boundary.
+        struct DelayAcross;
+        impl FaultPlan for DelayAcross {
+            fn envelope_fate(&mut self, round: u64, from: NodeId, to: NodeId) -> EnvelopeFate {
+                if round == 0 && from == NodeId(3) && to == NodeId(4) {
+                    EnvelopeFate::Delay(1000)
+                } else {
+                    EnvelopeFate::Deliver
+                }
+            }
+        }
+        let case = Case {
+            cfg: EngineConfig {
+                max_rounds: 4,
+                stop_when_all_decided: true,
+            },
+            plan: |_| Some(Box::new(DelayAcross)),
+            ..Case::new(8, 1000, 11)
+        };
+        let reference = case.run(None);
+        for layout in [in_process(2, ClockPlan::Uniform), piped(2)] {
+            let result = case.run(layout.clone());
+            assert_results_equal(&reference, &result, &format!("{layout:?}"));
+            assert_eq!(result.metrics.messages_delayed, 1, "{layout:?}");
+            assert_eq!(
+                result.metrics.messages_expired, 1,
+                "{layout:?}: the deferred envelope must expire at the cap, not deliver"
+            );
+        }
+    }
+
+    #[test]
+    fn delays_to_a_recipient_that_crashes_in_flight_expire() {
+        struct DelayThenCrash;
+        impl FaultPlan for DelayThenCrash {
+            fn begin_round(&mut self, round: u64) -> Vec<ChurnEvent> {
+                if round == 1 {
+                    vec![ChurnEvent::Crash(NodeId(1))]
+                } else {
+                    Vec::new()
+                }
+            }
+            fn envelope_fate(&mut self, round: u64, _from: NodeId, to: NodeId) -> EnvelopeFate {
+                if round == 0 && to == NodeId(1) {
+                    EnvelopeFate::Delay(2)
+                } else {
+                    EnvelopeFate::Deliver
+                }
+            }
+        }
+        let case = Case {
+            plan: |_| Some(Box::new(DelayThenCrash)),
+            ..Case::new(4, 12, 6)
+        };
+        let reference = case.run(None);
+        for layout in [
+            in_process(1, ClockPlan::Uniform),
+            in_process(2, ClockPlan::Uniform),
+            piped(2),
+        ] {
+            let result = case.run(layout.clone());
+            assert_results_equal(&reference, &result, &format!("{layout:?}"));
+            assert!(result.crashed[1]);
+            assert!(result.metrics.messages_expired > 0);
+            assert_eq!(
+                result.metrics.messages_delayed, result.metrics.messages_expired,
+                "every deferred envelope was addressed to the crashed node"
+            );
+        }
+    }
+
+    #[test]
+    fn delay_past_a_slow_receivers_last_step_expires_at_the_cap() {
+        // The receiver's clock is so slow it never steps again, and the
+        // envelope's due tick lies past the cap.
+        struct DelayFar;
+        impl FaultPlan for DelayFar {
+            fn envelope_fate(&mut self, round: u64, _from: NodeId, to: NodeId) -> EnvelopeFate {
+                if round == 0 && to == NodeId(0) {
+                    EnvelopeFate::Delay(500)
+                } else {
+                    EnvelopeFate::Deliver
+                }
+            }
+        }
+        let case = Case {
+            cfg: EngineConfig {
+                max_rounds: 10,
+                stop_when_all_decided: true,
+            },
+            plan: |_| Some(Box::new(DelayFar)),
+            ..Case::new(6, 1000, 3)
+        };
+        // Node 0 is the slow stratum: one step every 64 ticks, so its only
+        // step inside the cap is tick 0.
+        let slow = ClockPlan::Stratified {
+            every: 6,
+            period: 64,
+        };
+        let result = case.run(in_process(1, slow));
+        assert_eq!(result.metrics.messages_delayed, 1);
+        assert_eq!(result.metrics.messages_expired, 1);
+    }
+
+    #[test]
+    fn delay_zero_accounts_as_immediate_delivery_on_every_layout() {
+        // `EnvelopeFate::Delay(0)` is immediate delivery: counted delivered
+        // now, never delayed, and identical to a faultless run.
+        struct DelayZero;
+        impl FaultPlan for DelayZero {
+            fn envelope_fate(&mut self, _round: u64, _from: NodeId, _to: NodeId) -> EnvelopeFate {
+                EnvelopeFate::Delay(0)
+            }
+        }
+        let faultless = Case::new(12, 30, 23);
+        let baseline = faultless.run(None);
+        assert!(baseline.metrics.messages_delivered > 0);
+        let case = Case {
+            plan: |_| Some(Box::new(DelayZero)),
+            ..faultless
+        };
+        for layout in [
+            None,
+            in_process(1, ClockPlan::Uniform),
+            in_process(4, ClockPlan::Uniform),
+            piped(2),
+        ] {
+            let result = case.run(layout.clone());
+            assert_eq!(result.metrics.messages_delayed, 0, "{layout:?}");
+            assert_eq!(result.metrics.messages_expired, 0, "{layout:?}");
+            assert_results_equal(&baseline, &result, &format!("{layout:?}"));
+        }
+    }
+
+    // -- Heterogeneous clocks ------------------------------------------------
+
+    #[test]
+    fn heterogeneous_clocks_are_deterministic_and_slow_nodes_step_less() {
+        let case = Case {
+            cfg: EngineConfig {
+                max_rounds: 40,
+                stop_when_all_decided: true,
+            },
+            ..Case::new(24, 30, 9)
+        };
+        let clocks = ClockPlan::Stratified {
+            every: 4,
+            period: 3,
+        };
+        let a = case.run(in_process(1, clocks));
+        assert_results_equal(&a, &case.run(in_process(1, clocks)), "determinism");
+        assert_ne!(
+            a.metrics,
+            case.run(None).metrics,
+            "stratified clocks must actually change the execution"
         );
-        assert_eq!(engine.shard_count(), 4, "shards clamp to the node count");
+    }
+
+    #[test]
+    fn jittered_clocks_derive_from_the_seed() {
+        let clocks = in_process(1, ClockPlan::Jittered { max_period: 4 });
+        let run = |seed| {
+            Case {
+                cfg: EngineConfig {
+                    max_rounds: 60,
+                    stop_when_all_decided: true,
+                },
+                ..Case::new(16, 40, seed)
+            }
+            .run(clocks.clone())
+        };
+        let a = run(5);
+        assert_results_equal(&a, &run(5), "jittered determinism");
+        let c = run(6);
+        assert_ne!(
+            (a.outputs, a.metrics),
+            (c.outputs, c.metrics),
+            "a different seed draws different periods and values"
+        );
+    }
+
+    #[test]
+    fn mailboxes_batch_arrivals_between_slow_steps() {
+        // A slow node consumes everything that arrived since its previous
+        // step in one batch — the max still propagates through it.
+        let clocks = ClockPlan::Stratified {
+            every: 3,
+            period: 4,
+        };
+        let result = Case::new(12, 96, 21).run(in_process(1, clocks));
+        assert!(result.completed);
+        let first = result.outputs[0].unwrap();
+        assert!(result.outputs.iter().all(|o| *o == Some(first)));
+    }
+
+    // -- Sparse ticking -------------------------------------------------------
+
+    #[test]
+    fn sparse_ticking_is_byte_identical_to_dense() {
+        let case = Case {
+            cfg: EngineConfig {
+                max_rounds: 600,
+                stop_when_all_decided: true,
+            },
+            ..Case::new(18, 200, 13)
+        };
+        let g = line_graph(case.n);
+        for clocks in [
+            ClockPlan::Uniform,
+            STRATIFIED,
+            ClockPlan::Jittered { max_period: 6 },
+        ] {
+            for shards in [1, 3] {
+                let layout = Layout::InProcess { shards, clocks };
+                let dense = run_dense(case.engine(&g, layout.clone()));
+                let sparse = case.engine(&g, layout.clone()).run().unwrap();
+                assert_results_equal(&dense, &sparse, &format!("{layout:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_ticking_visits_o_events_ticks_on_an_idle_heavy_run() {
+        // Every node on a slow clock (one step per 64 ticks), so all but one
+        // in 64 ticks are dead: the ticks actually *visited* must scale with
+        // the node-step events, not with the tick span of the run.
+        let period = 64;
+        let case = Case::new(6, 2000, 29);
+        let g = line_graph(case.n);
+        for shards in [1, 3] {
+            let clocks = ClockPlan::Stratified { every: 1, period };
+            let layout = Layout::InProcess { shards, clocks };
+            let mut sparse = case.engine(&g, layout.clone());
+            while !sparse.finished() {
+                sparse.advance().unwrap();
+            }
+            let span = sparse.time();
+            let visited = span - sparse.ticks_skipped();
+            assert!(span > case.ttl, "the run must cover the idle-heavy span");
+            assert!(
+                visited <= span / period as u64 + 2,
+                "S={shards}: visited {visited} of {span}"
+            );
+            assert!(sparse.ticks_skipped() > 30 * visited, "S={shards}");
+            let sparse = sparse.into_result().unwrap();
+            assert_eq!(sparse.metrics.rounds, span, "skipped ticks still count");
+            let dense = run_dense(case.engine(&g, layout));
+            assert_results_equal(&dense, &sparse, &format!("idle-heavy S={shards}"));
+        }
+    }
+
+    #[test]
+    fn sparse_ticking_respects_the_round_cap_between_events() {
+        // Next event beyond `max_rounds`: the skip stops at the cap.
+        let case = Case {
+            cfg: EngineConfig {
+                max_rounds: 100,
+                stop_when_all_decided: false,
+            },
+            ..Case::new(4, 100_000, 31)
+        };
+        let g = line_graph(case.n);
+        let layout = Layout::InProcess {
+            shards: 2,
+            clocks: ClockPlan::Stratified {
+                every: 1,
+                period: 64,
+            },
+        };
+        let sparse = case.engine(&g, layout.clone()).run().unwrap();
+        assert_results_equal(&run_dense(case.engine(&g, layout)), &sparse, "cap");
+        assert_eq!(sparse.metrics.rounds, 100);
+    }
+
+    #[test]
+    fn sparse_skip_reports_rounds_and_skips_to_the_recorder() {
+        let case = Case {
+            cfg: EngineConfig {
+                max_rounds: 512,
+                stop_when_all_decided: false,
+            },
+            ..Case::new(6, 200, 37)
+        };
+        let g = line_graph(case.n);
+        let counters = CounterSet::new();
+        let clocks = ClockPlan::Stratified {
+            every: 1,
+            period: 32,
+        };
+        let result = case
+            .engine(&g, Layout::InProcess { shards: 2, clocks })
+            .with_recorder(&counters)
+            .run()
+            .unwrap();
+        let snap = counters.snapshot();
+        assert_eq!(snap.total(Counter::Rounds), result.metrics.rounds);
+        assert_eq!(
+            snap.total(Counter::MessagesDelivered),
+            result.metrics.messages_delivered
+        );
+        let skipped = snap.total(Counter::TicksSkipped);
+        assert!(skipped > 0 && skipped < result.metrics.rounds);
+    }
+
+    #[test]
+    fn an_installed_fault_plan_pins_the_engine_to_dense_ticking() {
+        // A plan is consulted every tick, so no tick is idle to it.
+        struct Benign;
+        impl FaultPlan for Benign {}
+        let case = Case {
+            cfg: EngineConfig {
+                max_rounds: 500,
+                stop_when_all_decided: true,
+            },
+            plan: |_| Some(Box::new(Benign)),
+            ..Case::new(6, 100, 11)
+        };
+        let g = line_graph(case.n);
+        let clocks = ClockPlan::Stratified {
+            every: 1,
+            period: 16,
+        };
+        let mut engine = case.engine(&g, Layout::InProcess { shards: 2, clocks });
+        while !engine.finished() {
+            engine.advance().unwrap();
+        }
+        assert_eq!(engine.ticks_skipped(), 0);
     }
 }

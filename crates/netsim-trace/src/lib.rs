@@ -1,7 +1,7 @@
 //! # netsim-trace — zero-cost structured tracing for the simulation engines
 //!
-//! The engines (`SyncEngine`, `ShardedSyncEngine`, `AsyncEngine`) are
-//! instrumented against the object-safe [`Recorder`] trait.  When no
+//! The engines (`SyncEngine` and `ShardedEngine`) are instrumented
+//! against the object-safe [`Recorder`] trait.  When no
 //! recorder is installed the instrumentation is a single `Option` check
 //! per *phase boundary* (never per envelope), so the PR 3 zero-allocation
 //! hot path is untouched; when one is installed, recorders only *observe*

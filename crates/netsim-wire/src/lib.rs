@@ -58,7 +58,7 @@ pub use handshake::{
     check_spec_version, recv_hello, send_hello, ShardAssignment, WireHello, SPEC_VERSION_ANY,
     WIRE_MAJOR, WIRE_MINOR,
 };
-pub use net::{IoStream, Listener};
+pub use net::{IoStream, Listener, HELLO_DEADLINE};
 pub use pipe::{duplex, PipeEnd};
 
 /// Errors of the wire layer.

@@ -28,6 +28,11 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::time::Duration;
 
+/// How long either side of a shard handshake waits for the peer's hello:
+/// the coordinator dialing a worker, and a worker that just accepted a
+/// coordinator.
+pub const HELLO_DEADLINE: Duration = Duration::from_secs(10);
+
 /// A bound server socket of either family.
 #[derive(Debug)]
 pub enum Listener {

@@ -182,14 +182,14 @@ fn baseline_workload_is_worker_count_invariant() {
 /// address.  The accept loop is detached; it dies with the test process.
 fn spawn_worker(addr: &str) -> String {
     use byzcount::campaign::net::Listener;
-    use byzcount::sim::{serve_shard_conn, FullRegistry, SHARD_HELLO_TIMEOUT};
+    use byzcount::sim::{serve_shard_conn, FullRegistry};
     let listener = Listener::bind(addr).unwrap_or_else(|e| panic!("bind {addr}: {e}"));
     let bound = listener.local_addr().expect("bound address");
     std::thread::spawn(move || loop {
         match listener.accept() {
             Ok(Some(mut stream)) => {
                 std::thread::spawn(move || {
-                    let _ = serve_shard_conn(&mut stream, &FullRegistry, SHARD_HELLO_TIMEOUT);
+                    let _ = serve_shard_conn(&mut stream, &FullRegistry);
                 });
             }
             Ok(None) => {}

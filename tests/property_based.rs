@@ -271,8 +271,7 @@ proptest! {
     ) {
         use byzcount::runtime::{CalendarQueue, EventClass};
         let class_of = |c: u8| match c {
-            0 => EventClass::PlanTick,
-            1 => EventClass::NodeStep,
+            0 => EventClass::NodeStep,
             _ => EventClass::Deliver,
         };
         // Dedup to distinct (class, node) keys: `seq` (the final
@@ -280,7 +279,7 @@ proptest! {
         // distinct in the other components are permutation-invariant.
         let mut events: Vec<(u8, u32)> = raw_events
             .iter()
-            .map(|&x| ((x % 3) as u8, ((x / 3) % 64) as u32))
+            .map(|&x| ((x % 2) as u8, ((x / 2) % 64) as u32))
             .collect();
         events.sort_unstable();
         events.dedup();
@@ -457,6 +456,15 @@ impl MessageSize for FuzzVal {
     }
 }
 
+impl wire::Wire for FuzzVal {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
+        Ok(FuzzVal(<u64 as wire::Wire>::decode(r)?))
+    }
+}
+
 /// A fuzzable max-flood protocol: every node draws a value from its node
 /// RNG, floods the running maximum, and decides at a TTL.  Mirrors the
 /// engine test-suite workhorse, with enough quiet rounds between floods
@@ -561,16 +569,16 @@ proptest! {
         // Plans are deterministic in (spec, n, seed), so building twice
         // yields identical fault streams for the two executions.
         let plan = || fault.build_plan(n, &vec![true; n], seed ^ 0xFA17);
-        let mut dense = AsyncEngine::new(
-            &g, fuzz_states(n, 120), vec![false; n], NullAdversary, cfg, seed, clocks,
+        let engine = || ShardedEngine::new(
+            &g, fuzz_states(n, 120), vec![false; n], NullAdversary, cfg, seed,
+            Layout::InProcess { shards: 1, clocks },
         ).with_fault_plan_opt(plan());
+        let mut dense = engine();
         while !dense.finished() {
-            dense.step_tick();
+            dense.step_tick().expect("in process");
         }
-        let dense = dense.into_result();
-        let sparse = AsyncEngine::new(
-            &g, fuzz_states(n, 120), vec![false; n], NullAdversary, cfg, seed, clocks,
-        ).with_fault_plan_opt(plan()).run();
+        let dense = dense.into_result().expect("in process");
+        let sparse = engine().run().expect("in process");
         prop_assert_eq!(&sparse.outputs, &dense.outputs);
         prop_assert_eq!(&sparse.decided_round, &dense.decided_round);
         prop_assert_eq!(&sparse.crashed, &dense.crashed);
@@ -579,10 +587,12 @@ proptest! {
         prop_assert_eq!(sparse.completed, dense.completed);
     }
 
-    /// Shard-count invariance: the sharded-async engine produces results
-    /// identical to the unsharded async engine for every shard count
-    /// S ∈ {1, 2, 4, 8}, under any clock plan and any fault shape — the
-    /// shard layout is an execution detail, never a semantic one.
+    /// Shard-count invariance: S ∈ {1, 2, 4, 8} in-process shards produce
+    /// results identical to the one-shard layout under any clock plan and
+    /// any fault shape, and the wire layout over in-process pipes at
+    /// S ∈ {1, 2, 4} (uniform clocks) equals `SyncEngine` on the same
+    /// fault shape — the shard layout and the transport are execution
+    /// details, never semantic ones.
     #[test]
     fn sharded_async_engine_is_shard_count_invariant(
         seed in any::<u64>(),
@@ -600,19 +610,25 @@ proptest! {
         let cfg = EngineConfig { max_rounds: 600, stop_when_all_decided: true };
         let fault = fault_spec_from(fault_shape, rate_milli, rounds, nested.is_some());
         let plan = || fault.build_plan(n, &vec![true; n], seed ^ 0xFA17);
-        let reference = AsyncEngine::new(
-            &g, fuzz_states(n, 120), vec![false; n], NullAdversary, cfg, seed, clocks,
-        ).with_fault_plan_opt(plan()).run();
-        for shards in [1usize, 2, 4, 8] {
-            let sharded = ShardedAsyncEngine::new(
-                &g, fuzz_states(n, 120), vec![false; n], NullAdversary, cfg, seed, shards, clocks,
-            ).with_fault_plan_opt(plan()).run();
-            prop_assert_eq!(&sharded.outputs, &reference.outputs, "S={}", shards);
-            prop_assert_eq!(&sharded.decided_round, &reference.decided_round, "S={}", shards);
-            prop_assert_eq!(&sharded.crashed, &reference.crashed, "S={}", shards);
-            prop_assert_eq!(&sharded.statuses, &reference.statuses, "S={}", shards);
-            prop_assert_eq!(&sharded.metrics, &reference.metrics, "S={}", shards);
-            prop_assert_eq!(sharded.completed, reference.completed, "S={}", shards);
+        let run = |layout: Layout| ShardedEngine::new(
+            &g, fuzz_states(n, 120), vec![false; n], NullAdversary, cfg, seed, layout,
+        ).with_fault_plan_opt(plan()).run().expect("pipes never fail");
+        let sync = SyncEngine::new(&g, fuzz_states(n, 120), vec![false; n], NullAdversary, cfg, seed)
+            .with_fault_plan_opt(plan())
+            .run();
+        let reference = run(Layout::InProcess { shards: 1, clocks });
+        let layouts = [1usize, 2, 4, 8]
+            .map(|shards| (Layout::InProcess { shards, clocks }, &reference))
+            .into_iter()
+            .chain([1usize, 2, 4].map(|shards| (Layout::Wire { shards, fleet: None }, &sync)));
+        for (layout, expected) in layouts {
+            let result = run(layout.clone());
+            prop_assert_eq!(&result.outputs, &expected.outputs, "{:?}", layout);
+            prop_assert_eq!(&result.decided_round, &expected.decided_round, "{:?}", layout);
+            prop_assert_eq!(&result.crashed, &expected.crashed, "{:?}", layout);
+            prop_assert_eq!(&result.statuses, &expected.statuses, "{:?}", layout);
+            prop_assert_eq!(&result.metrics, &expected.metrics, "{:?}", layout);
+            prop_assert_eq!(result.completed, expected.completed, "{:?}", layout);
         }
     }
 }

@@ -39,7 +39,7 @@ fn with_engine(engine: EngineSpec) -> RunSpec {
 }
 
 /// Every counter total derived from the trace must equal the run's own
-/// metrics bit-for-bit, on all four engines.
+/// metrics bit-for-bit, on all five engines.
 #[test]
 fn trace_counters_match_run_metrics_exactly_on_all_engines() {
     for engine in [
@@ -50,6 +50,7 @@ fn trace_counters_match_run_metrics_exactly_on_all_engines() {
             shards: 4,
             clocks: ClockPlan::Uniform,
         },
+        EngineSpec::Distributed { shards: 2 },
     ] {
         let spec = with_engine(engine);
         let counters = CounterSet::new();
@@ -142,6 +143,7 @@ fn traced_and_untraced_reports_are_byte_identical_across_the_matrix() {
             shards: 4,
             clocks: ClockPlan::Uniform,
         },
+        EngineSpec::Distributed { shards: 2 },
     ];
     // Worker counts are pinned through the rayon shim's programmatic
     // override, not `std::env::set_var` — mutating the environment races
@@ -186,6 +188,7 @@ fn trace_files_are_byte_deterministic_for_equal_spec_and_seed() {
             shards: 4,
             clocks: ClockPlan::Uniform,
         },
+        EngineSpec::Distributed { shards: 2 },
     ] {
         let spec = with_engine(engine);
         let render = || {
