@@ -111,8 +111,10 @@ pub struct BenchEntry {
     pub rounds_per_s: f64,
     /// Delivered messages per second.
     pub messages_per_s: f64,
-    /// Process peak RSS after this cell, in kB (`VmHWM`; monotone over the
-    /// suite run, so the last entries bound the whole suite).
+    /// Peak RSS of this cell, in kB: the process high-water mark
+    /// (`VmHWM`), reset to the current RSS before the cell's set-up and
+    /// read after its last execution.  It still includes whatever the
+    /// process holds from earlier cells.
     pub peak_rss_kb: u64,
     /// `rounds_per_s` of the matching entry in the baseline report, when a
     /// baseline was joined.
@@ -265,6 +267,13 @@ pub fn expected_cells(sizes: &[usize]) -> Vec<(String, String, usize)> {
     cells
 }
 
+/// Reset the process peak RSS (`VmHWM`) to the current RSS, so the next
+/// [`peak_rss_kb`] reads the peak since this call.  A no-op where the
+/// kernel offers no reset.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
 /// Read the process peak RSS (`VmHWM`) in kB; 0 where unavailable.
 pub fn peak_rss_kb() -> u64 {
     std::fs::read_to_string("/proc/self/status")
@@ -305,6 +314,7 @@ pub fn run_suite(
             for (faulty, network) in [(false, "clean"), (true, "faulty")] {
                 let seed = cell_seed(cfg.seed, workload.name(), network, n);
                 let spec = suite_spec_on(&workload, n, faulty, seed, cfg.engine);
+                reset_peak_rss();
                 let setup_start = Instant::now();
                 let prepared = PreparedRun::new(&spec)?;
                 let setup_ms = setup_start.elapsed().as_secs_f64() * 1e3;

@@ -296,3 +296,32 @@ fn cancel_stops_scheduling_and_resubmit_revives() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&store);
 }
+
+#[test]
+fn out_of_range_params_are_refused_at_submit_and_the_server_keeps_serving() {
+    // Such a batch used to be accepted; its first cell then panicked in a
+    // worker and the job stayed `running` forever.
+    let store = tmp_store("bad-params");
+    let server = CampaignServer::spawn("127.0.0.1:0", config(&store)).unwrap();
+    let mut bad = batch(2);
+    bad.run.params = ParamsSpec::Derived {
+        delta: 0.6,
+        epsilon: 1.0,
+    };
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    let err = client
+        .submit(&CampaignSpec::for_batch("bad-job", bad))
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("epsilon must lie in (0, 1)"),
+        "the refusal must name the parameter: {err}"
+    );
+    assert!(client.status("bad-job").is_err(), "no job was created");
+    let stats = client.stats().expect("the server still answers");
+    assert_eq!(stats.running_jobs, 0);
+    assert_eq!(stats.cells_pending, 0);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}

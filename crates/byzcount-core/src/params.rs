@@ -39,19 +39,41 @@ impl ProtocolParams {
     /// Construct parameters directly.
     ///
     /// # Panics
-    /// Panics if `ε ∉ (0, 1)`, `δ ∉ (0, 1]`, or `d < 4`.
+    /// Panics if `d < 4`, `k < 1`, `ε ∉ (0, 1)`, `δ ∉ (0, 1]`, or `h ≤ 0`.
     pub fn new(d: usize, k: usize, delta: f64, epsilon: f64, edge_expansion: f64) -> Self {
-        assert!(d >= 4, "degree must be at least 4");
-        assert!(k >= 1, "small-world radius must be at least 1");
-        assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must lie in (0, 1)");
-        assert!(delta > 0.0 && delta <= 1.0, "delta must lie in (0, 1]");
-        assert!(edge_expansion > 0.0, "edge expansion must be positive");
-        ProtocolParams {
+        let params = ProtocolParams {
             d,
             k,
             delta,
             epsilon,
             edge_expansion,
+        };
+        if let Err(why) = params.check_range() {
+            panic!("{why}");
+        }
+        params
+    }
+
+    /// The range every parameter must lie in: the first one that does
+    /// not, as a message.  [`new`](Self::new) panics on it; spec
+    /// validation returns it as an error.
+    pub(crate) fn check_range(&self) -> Result<(), &'static str> {
+        let conditions = [
+            (self.d >= 4, "degree must be at least 4"),
+            (self.k >= 1, "small-world radius must be at least 1"),
+            (
+                self.epsilon > 0.0 && self.epsilon < 1.0,
+                "epsilon must lie in (0, 1)",
+            ),
+            (
+                self.delta > 0.0 && self.delta <= 1.0,
+                "delta must lie in (0, 1]",
+            ),
+            (self.edge_expansion > 0.0, "edge expansion must be positive"),
+        ];
+        match conditions.into_iter().find(|&(holds, _)| !holds) {
+            Some((_, why)) => Err(why),
+            None => Ok(()),
         }
     }
 

@@ -548,6 +548,23 @@ impl Default for ParamsSpec {
 }
 
 impl ParamsSpec {
+    /// Check every value the spec sets lies in the range
+    /// [`ProtocolParams::new`] accepts.  `Derived` sets only `δ` and `ε`:
+    /// the topology supplies the rest, so in-range stand-ins fill them.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let params = match *self {
+            ParamsSpec::Explicit(params) => params,
+            ParamsSpec::Derived { delta, epsilon } => ProtocolParams {
+                d: 4,
+                k: 1,
+                delta,
+                epsilon,
+                edge_expansion: 1.0,
+            },
+        };
+        params.check_range().map_err(|why| format!("params: {why}"))
+    }
+
     /// Resolve against a materialized topology.
     pub fn resolve(&self, spec: &TopologySpec, topo: &BuiltTopology) -> ProtocolParams {
         match self {
@@ -932,6 +949,7 @@ impl RunSpec {
         }
         self.fault.validate().map_err(SimError::Spec)?;
         self.engine.validate().map_err(SimError::Spec)?;
+        self.params.validate().map_err(SimError::Spec)?;
         Ok(())
     }
 

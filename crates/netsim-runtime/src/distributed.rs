@@ -607,8 +607,8 @@ where
                 shard.apply_churn(&churn, &mut states)?;
                 shard.open(round, &mut states, topology);
                 let msg = WorkerMsg::<_, P::Output>::Arenas {
-                    honest: std::mem::take(&mut shard.honest),
-                    byz: std::mem::take(&mut shard.byz),
+                    honest: shard.honest.drain().collect(),
+                    byz: shard.byz.drain().collect(),
                     transitions: std::mem::take(&mut shard.transitions),
                 };
                 send_msg(chan, &msg)?;

@@ -4,12 +4,12 @@
 //! topology.  Rounds are processed in lock-step:
 //!
 //! 1. every non-crashed node consumes the messages addressed to it in the
-//!    previous round and queues its outgoing messages into an engine-owned,
-//!    reused outbox (sequentially, in node order — batch-level rayon
+//!    previous round and queues its outgoing messages straight into the
+//!    round arena (sequentially, in node order — batch-level rayon
 //!    parallelism lives in the simulation API one level up; every node
 //!    still has its own RNG stream, so the schedule is deterministic);
 //! 2. the full-information adversary inspects every state and every queued
-//!    message and may replace the Byzantine nodes' outboxes;
+//!    message and may replace the Byzantine nodes' messages;
 //! 3. messages are validated against the topology (no edge → dropped),
 //!    accounted, and delivered into the next round's inboxes.
 //!
@@ -23,7 +23,7 @@
 //!
 //! * at every round boundary the plan may churn honest nodes — fail-stop
 //!   them and later bring them back with a freshly reset protocol state;
-//! * between outbox collection and inbox delivery, every validated honest
+//! * between the adversary cut and inbox delivery, every validated honest
 //!   envelope is given a fate: delivered, silently lost, or deferred up to
 //!   `Δ` rounds (bounded-delay asynchrony).
 //!
@@ -165,13 +165,11 @@ impl<O> RunResult<O> {
 /// * `inboxes` holds the messages consumed this round; `next_inboxes`
 ///   receives this round's deliveries.  The two are swapped at the round
 ///   boundary and the stale side is cleared with its capacity kept.
-/// * `outboxes` are per-node reused [`Outbox`]es (inline below 16
-///   messages, spilled capacity kept) the engine clears before each
-///   `step`.
-/// * `honest_arena` / `byz_default` are the round-scoped envelope arenas:
-///   outbox messages are *moved* into them (the pre-refactor engine cloned
-///   every envelope every round), the adversary views them by reference,
-///   and delivery drains them in place.
+/// * `honest` / `byz_default` are the round arenas, each an [`Outbox`]
+///   the engine opens every node's turn on (Byzantine nodes on
+///   `byz_default`): nodes queue envelopes straight into them, the
+///   adversary views them by reference, and delivery drains them in
+///   place.  There are no per-node outgoing buffers.
 /// * `deferred` is a [`DelayRing`] of round buckets (replacing a
 ///   `BTreeMap`): deferral and due-drain are O(1) and bucket capacity is
 ///   reused.
@@ -196,15 +194,13 @@ where
     inboxes: Vec<Vec<Envelope<P::Message>>>,
     /// Messages delivered this round, consumed next round.
     next_inboxes: Vec<Vec<Envelope<P::Message>>>,
-    /// Per-node reusable outgoing buffers.
-    outboxes: Vec<Outbox<P::Message>>,
     /// Per-node action of the current round.
     actions: Vec<Action<P::Output>>,
-    /// Round arena for honest envelopes (moved out of outboxes, drained by
+    /// Round arena the honest nodes queue into, in node order (drained by
     /// delivery; capacity reused).
-    honest_arena: Vec<Envelope<P::Message>>,
-    /// Round buffer for the Byzantine nodes' protocol-following envelopes.
-    byz_default: Vec<Envelope<P::Message>>,
+    honest: Outbox<P::Message>,
+    /// Round arena for the Byzantine nodes' protocol-following envelopes.
+    byz_default: Outbox<P::Message>,
     /// Scratch crash mask handed to the adversary view.
     crashed_scratch: Vec<bool>,
     statuses: Vec<NodeStatus>,
@@ -266,10 +262,9 @@ where
             adversary_rng: ChaCha8Rng::seed_from_u64(splitmix(seed, u64::MAX)),
             inboxes: vec![Vec::new(); n],
             next_inboxes: vec![Vec::new(); n],
-            outboxes: (0..n).map(|_| Outbox::new()).collect(),
             actions: vec![Action::Continue; n],
-            honest_arena: Vec::new(),
-            byz_default: Vec::new(),
+            honest: Outbox::new(),
+            byz_default: Outbox::new(),
             crashed_scratch: Vec::with_capacity(n),
             statuses: vec![NodeStatus::Active; n],
             outputs: vec![None; n],
@@ -438,8 +433,8 @@ where
             r.phase_begin(shard, round, Phase::NodeStep);
         }
 
-        // Phase 1: run every non-crashed node against its inbox, writing
-        // into its engine-owned, reused outbox (cleared, never dropped).
+        // Phase 1: run every non-crashed node against its inbox, queueing
+        // straight into the honest or the Byzantine-default round arena.
         //
         // This loop is sequential by design.  The workspace's rayon shim
         // intentionally refuses to split borrowed-slice pipelines (per-node
@@ -455,19 +450,24 @@ where
             let topology = self.topology;
             let statuses = &self.statuses;
             let outputs = &self.outputs;
-            for (i, ((state, rng), (outbox, action))) in self
+            for (i, ((state, rng), action)) in self
                 .states
                 .iter_mut()
                 .zip(self.rngs.iter_mut())
-                .zip(self.outboxes.iter_mut().zip(self.actions.iter_mut()))
+                .zip(self.actions.iter_mut())
                 .enumerate()
             {
-                outbox.clear();
                 if statuses[i] == NodeStatus::Crashed {
                     *action = Action::Continue;
                     continue;
                 }
                 let id = NodeId::from_index(i);
+                let outbox = if self.byzantine[i] {
+                    &mut self.byz_default
+                } else {
+                    &mut self.honest
+                };
+                outbox.begin_turn(id);
                 let ctx = NodeContext {
                     id,
                     round,
@@ -483,24 +483,7 @@ where
             r.phase_begin(shard, round, Phase::AdversaryCut);
         }
 
-        // Phase 2: move every queued message — no clones — into the round
-        // arena (honest senders, in node order) or the Byzantine-default
-        // buffer, and let the adversary intervene.
-        self.honest_arena.clear();
-        self.byz_default.clear();
-        {
-            let honest_arena = &mut self.honest_arena;
-            let byz_default = &mut self.byz_default;
-            let byzantine = &self.byzantine;
-            for (i, outbox) in self.outboxes.iter_mut().enumerate() {
-                let target: &mut Vec<Envelope<P::Message>> = if byzantine[i] {
-                    byz_default
-                } else {
-                    honest_arena
-                };
-                outbox.drain_envelopes(NodeId::from_index(i), |env| target.push(env));
-            }
-        }
+        // Phase 2: the adversary views both arenas in place.
         self.crashed_scratch.clear();
         self.crashed_scratch
             .extend(self.statuses.iter().map(|s| *s == NodeStatus::Crashed));
@@ -513,8 +496,8 @@ where
                 byzantine: &self.byzantine,
                 crashed: &self.crashed_scratch,
                 states: &self.states,
-                honest_messages: &self.honest_arena,
-                byzantine_default_messages: &self.byz_default,
+                honest_messages: self.honest.envelopes(),
+                byzantine_default_messages: self.byz_default.envelopes(),
             };
             self.adversary.act(&view, &mut self.adversary_rng)
         };
@@ -545,13 +528,13 @@ where
                 shard,
                 round,
                 Gauge::HonestArenaHighWater,
-                self.honest_arena.len() as u64,
+                self.honest.envelopes().len() as u64,
             );
             r.gauge(
                 shard,
                 round,
                 Gauge::ByzArenaHighWater,
-                self.byz_default.len() as u64,
+                self.byz_default.envelopes().len() as u64,
             );
             r.phase_end(shard, round, Phase::AdversaryCut);
             r.phase_begin(shard, round, Phase::Routing);
@@ -560,20 +543,22 @@ where
         // Phase 4: validate, account and deliver messages for the next
         // round — honest arena first, then the Byzantine path, exactly the
         // pre-refactor order (the fault plan's RNG stream depends on it).
-        let mut honest = std::mem::take(&mut self.honest_arena);
-        for env in honest.drain(..) {
+        let mut honest = std::mem::take(&mut self.honest);
+        for env in honest.drain() {
             self.deliver(round, env, false);
         }
-        self.honest_arena = honest;
+        self.honest = honest;
         match decision {
             AdversaryDecision::FollowProtocol => {
                 let mut byz = std::mem::take(&mut self.byz_default);
-                for env in byz.drain(..) {
+                for env in byz.drain() {
                     self.deliver(round, env, false);
                 }
                 self.byz_default = byz;
             }
             AdversaryDecision::Replace(msgs) => {
+                // The adversary's envelopes stand in for the defaults.
+                self.byz_default.drain();
                 for env in msgs {
                     self.deliver(round, env, true);
                 }

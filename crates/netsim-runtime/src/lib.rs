@@ -11,11 +11,12 @@
 //!
 //! * every node runs a [`node::Protocol`] state machine;
 //! * in each round, every active node consumes its inbox (the messages
-//!   addressed to it in the previous round) and emits an outbox;
+//!   addressed to it in the previous round) and queues its messages
+//!   straight into the round arena through an engine-stamped [`Outbox`];
 //! * the [`adversary::Adversary`] then observes *everything* — all node
 //!   states, every message queued by honest nodes this round, and the
 //!   messages the Byzantine nodes would have sent had they been honest — and
-//!   may replace the Byzantine nodes' outboxes arbitrarily (it cannot forge
+//!   may replace the Byzantine nodes' messages arbitrarily (it cannot forge
 //!   the sender identity nor send over non-existent edges, matching the
 //!   paper's "cannot lie about its ID to a neighbour" and "can communicate
 //!   only along network edges" assumptions);

@@ -49,33 +49,36 @@ pub struct NodeContext<'a> {
     pub decided: bool,
 }
 
-/// Inline outbox slots: the common low-degree broadcast queues this many
-/// messages without touching the heap; higher-degree nodes spill once and
-/// the engine reuses the spilled buffer for every later round.
-const OUTBOX_INLINE: usize = 16;
-
-/// Outgoing message buffer for one node in one round.
+/// Where a node's turn queues its outgoing messages.
 ///
-/// Engine-owned and reused across rounds: the engine clears it before each
-/// `step` and drains it afterwards, so the hot path performs no per-round
-/// allocation (messages live inline below the 16-slot inline capacity, and any
-/// spilled heap buffer keeps its capacity).
+/// An engine-owned outbox is a round arena: the engine opens each node's
+/// turn on it, and `send` / `broadcast` append envelopes stamped with that
+/// node's id, so each message is written once, where the adversary reads
+/// it and routing drains it (capacity kept across rounds).  `len` and
+/// `clear` see only the open turn.  A standalone [`Outbox::new`] (in a
+/// protocol unit test, say) is one open turn.
 #[derive(Clone, Debug)]
 pub struct Outbox<M> {
-    messages: smallvec::SmallVec<(NodeId, M), OUTBOX_INLINE>,
+    arena: Vec<Envelope<M>>,
+    /// The node whose turn is open.
+    from: NodeId,
+    /// Where the open turn's envelopes begin in `arena`.
+    turn_start: usize,
 }
 
 impl<M> Outbox<M> {
     /// Create an empty outbox.
     pub fn new() -> Self {
         Outbox {
-            messages: smallvec::SmallVec::new(),
+            arena: Vec::new(),
+            from: NodeId(0),
+            turn_start: 0,
         }
     }
 
     /// Queue a message to a single recipient.
     pub fn send(&mut self, to: NodeId, payload: M) {
-        self.messages.push((to, payload));
+        self.arena.push(Envelope::new(self.from, to, payload));
     }
 
     /// Queue the same message to many recipients.
@@ -84,39 +87,43 @@ impl<M> Outbox<M> {
         M: Clone,
         I: IntoIterator<Item = &'a u32>,
     {
-        for &t in to {
-            self.messages.push((NodeId(t), payload.clone()));
-        }
+        let from = self.from;
+        let envelopes = to
+            .into_iter()
+            .map(|&t| Envelope::new(from, NodeId(t), payload.clone()));
+        self.arena.extend(envelopes);
     }
 
-    /// Number of queued messages.
+    /// Number of messages queued in this turn.
     pub fn len(&self) -> usize {
-        self.messages.len()
+        self.arena.len() - self.turn_start
     }
 
-    /// True when nothing has been queued.
+    /// True when nothing has been queued in this turn.
     pub fn is_empty(&self) -> bool {
-        self.messages.is_empty()
+        self.len() == 0
     }
 
-    /// Drop any queued messages, keeping spilled capacity for reuse.
+    /// Drop the messages queued in this turn, keeping capacity for reuse.
     pub fn clear(&mut self) {
-        self.messages.clear();
+        self.arena.truncate(self.turn_start);
     }
 
-    /// Move every queued message out as an envelope stamped with the sender
-    /// id, in queueing order, leaving the outbox empty and reusable.
-    pub(crate) fn drain_envelopes(&mut self, from: NodeId, mut consume: impl FnMut(Envelope<M>)) {
-        self.messages
-            .drain_into(|(to, payload)| consume(Envelope { from, to, payload }));
+    /// Open `from`'s turn: later messages carry `from` as their sender.
+    pub(crate) fn begin_turn(&mut self, from: NodeId) {
+        self.from = from;
+        self.turn_start = self.arena.len();
     }
 
-    /// Drain into envelopes stamped with the sender id.
-    #[cfg(test)]
-    pub(crate) fn into_envelopes(mut self, from: NodeId) -> Vec<Envelope<M>> {
-        let mut out = Vec::with_capacity(self.len());
-        self.drain_envelopes(from, |env| out.push(env));
-        out
+    /// Every turn's envelopes, in turn order, then each turn's queue order.
+    pub(crate) fn envelopes(&self) -> &[Envelope<M>] {
+        &self.arena
+    }
+
+    /// Move every envelope out, in [`envelopes`](Self::envelopes) order.
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, Envelope<M>> {
+        self.turn_start = 0;
+        self.arena.drain(..)
     }
 }
 
@@ -155,10 +162,37 @@ mod tests {
         ob.send(NodeId(1), 10);
         ob.broadcast([2u32, 3u32].iter(), 20);
         assert_eq!(ob.len(), 3);
-        let envs = ob.into_envelopes(NodeId(0));
+        let envs: Vec<_> = ob.drain().collect();
         assert_eq!(envs[0], Envelope::new(NodeId(0), NodeId(1), 10));
         assert_eq!(envs[1], Envelope::new(NodeId(0), NodeId(2), 20));
         assert_eq!(envs[2], Envelope::new(NodeId(0), NodeId(3), 20));
+        assert!(ob.is_empty());
+    }
+
+    #[test]
+    fn turns_share_the_arena_but_see_only_their_own_envelopes() {
+        let mut ob: Outbox<u64> = Outbox::new();
+        ob.begin_turn(NodeId(4));
+        ob.broadcast([1u32, 2u32].iter(), 40);
+        ob.begin_turn(NodeId(7));
+        assert!(ob.is_empty(), "a new turn starts empty");
+        ob.send(NodeId(3), 70);
+        ob.send(NodeId(5), 71);
+        assert_eq!(ob.len(), 2);
+        ob.clear();
+        assert!(ob.is_empty());
+        ob.send(NodeId(6), 72);
+        assert_eq!(ob.len(), 1);
+        assert_eq!(
+            ob.envelopes(),
+            [
+                Envelope::new(NodeId(4), NodeId(1), 40),
+                Envelope::new(NodeId(4), NodeId(2), 40),
+                Envelope::new(NodeId(7), NodeId(6), 72),
+            ],
+            "the first turn survives the second's clear, and every \
+             envelope carries its own turn's sender"
+        );
     }
 
     #[test]

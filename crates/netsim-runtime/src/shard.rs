@@ -6,13 +6,13 @@
 //! [`serve_shard_session`](crate::serve_shard_session) drives the same
 //! type from decoded frames when it lives behind a `netsim-wire` channel.
 //! A shard owns its range's RNG streams, statuses, outputs, mailboxes,
-//! outboxes, delivery-side metrics and calendar queue.  Protocol states
+//! round arenas, delivery-side metrics and calendar queue.  Protocol states
 //! are the one exception: the shard steps states it is lent, because in
 //! process they stay in one node-ordered vector the full-information
 //! adversary reads.
 //!
-//! A tick on a shard is [`open`](Shard::open) (step the due nodes, apply
-//! their actions, gather their envelopes), then any number of
+//! A tick on a shard is [`open`](Shard::open) (step the due nodes into
+//! the arenas and apply their actions), then any number of
 //! [`accept`](Shard::accept)s as the router hands over this range's
 //! deliveries and deferrals, then [`drain`](Shard::drain) (complete the
 //! deferred deliveries due this tick).
@@ -50,7 +50,6 @@ pub(crate) struct Shard<P: Protocol> {
     pub(crate) decided_round: Vec<Option<u64>>,
     /// Everything delivered to each node since its previous step.
     mailboxes: Vec<Vec<Envelope<P::Message>>>,
-    outboxes: Vec<Outbox<P::Message>>,
     /// Per-node step periods under a heterogeneous clock plan; `None`
     /// under a synchronous one, where every node steps every tick and the
     /// queue holds only deferred deliveries.
@@ -65,10 +64,10 @@ pub(crate) struct Shard<P: Protocol> {
     pub(crate) metrics: RunMetrics,
     /// The tick being processed.
     tick: u64,
-    /// This tick's envelopes from honest nodes, in node order.
-    pub(crate) honest: Vec<Envelope<P::Message>>,
-    /// This tick's protocol-following envelopes from Byzantine nodes.
-    pub(crate) byz: Vec<Envelope<P::Message>>,
+    /// The round arena of this tick's honest nodes, in node order.
+    pub(crate) honest: Outbox<P::Message>,
+    /// The round arena of this tick's Byzantine nodes' default envelopes.
+    pub(crate) byz: Outbox<P::Message>,
     /// This tick's status transitions, `(global id, TRANSITION_*)`.
     pub(crate) transitions: Vec<(u32, u8)>,
 }
@@ -98,15 +97,14 @@ impl<P: Protocol> Shard<P> {
             outputs: vec![None; len],
             decided_round: vec![None; len],
             mailboxes: vec![Vec::new(); len],
-            outboxes: (0..len).map(|_| Outbox::new()).collect(),
             periods,
             queue,
             scratch: Vec::new(),
             in_flight: 0,
             metrics: RunMetrics::default(),
             tick: 0,
-            honest: Vec::new(),
-            byz: Vec::new(),
+            honest: Outbox::new(),
+            byz: Outbox::new(),
             transitions: Vec::new(),
         }
     }
@@ -167,9 +165,9 @@ impl<P: Protocol> Shard<P> {
         Ok(())
     }
 
-    /// Open `tick`: step every node due this tick against its mailbox,
-    /// apply its action, and gather its envelopes into [`Shard::honest`]
-    /// / [`Shard::byz`] and its transition into [`Shard::transitions`].
+    /// Open `tick`: step every node due this tick against its mailbox into
+    /// the [`Shard::honest`] / [`Shard::byz`] arenas, and apply its action,
+    /// recording its transition in [`Shard::transitions`].
     ///
     /// Applying a node's action right after its own step is equivalent to
     /// the reference engine's post-cut application: a node's step reads
@@ -183,9 +181,6 @@ impl<P: Protocol> Shard<P> {
             None => {
                 for (local, state) in states.iter_mut().enumerate() {
                     self.step(local, state, topology);
-                }
-                for local in 0..self.len() {
-                    self.gather(local);
                 }
             }
             // Due nodes step in node order (the queue's tie-break) and are
@@ -207,9 +202,6 @@ impl<P: Protocol> Shard<P> {
                     );
                     self.step(local, &mut states[local], topology);
                 }
-                for &(node, _) in &due {
-                    self.gather(node as usize - self.start);
-                }
                 self.scratch = due;
                 self.periods = Some(periods);
             }
@@ -227,7 +219,13 @@ impl<P: Protocol> Shard<P> {
             neighbors: topology.neighbors(id),
             decided: self.outputs[local].is_some(),
         };
-        let outbox = &mut self.outboxes[local];
+        // A Byzantine node's envelopes are the adversary's defaults.
+        let outbox = if self.byzantine[local] {
+            &mut self.byz
+        } else {
+            &mut self.honest
+        };
+        outbox.begin_turn(id);
         let action = state.step(&ctx, &self.mailboxes[local], outbox, &mut self.rngs[local]);
         self.mailboxes[local].clear();
         // Byzantine nodes are puppets of the adversary: their "decisions"
@@ -250,18 +248,6 @@ impl<P: Protocol> Shard<P> {
                 self.transitions.push((id.0, TRANSITION_CRASHED));
             }
         }
-    }
-
-    /// Move a node's queued envelopes into this tick's arenas: a Byzantine
-    /// node's are the adversary's defaults.
-    fn gather(&mut self, local: usize) {
-        let id = NodeId::from_index(self.start + local);
-        let arena = if self.byzantine[local] {
-            &mut self.byz
-        } else {
-            &mut self.honest
-        };
-        self.outboxes[local].drain_envelopes(id, |env| arena.push(env));
     }
 
     /// Take one envelope the router sent into this range: delivered into

@@ -538,8 +538,8 @@ where
                     }
                 });
                 for shard in shards.iter_mut() {
-                    self.honest_arena.append(&mut shard.honest);
-                    self.byz_default.append(&mut shard.byz);
+                    self.honest_arena.extend(shard.honest.drain());
+                    self.byz_default.extend(shard.byz.drain());
                     self.transitions.append(&mut shard.transitions);
                 }
             }
@@ -920,8 +920,9 @@ mod tests {
     use super::*;
     use crate::adversary::NullAdversary;
     use crate::fixtures::{
-        assert_results_equal, flood_states, full_fault_stack, line_graph, MaxFlood, Shouter,
+        assert_results_equal, flood_states, full_fault_stack, line_graph, MaxFlood, Shouter, Val,
     };
+    use crate::node::{Action, NodeContext, Outbox};
     use netsim_graph::{Csr, NodeId};
     use netsim_trace::CounterSet;
 
@@ -1025,6 +1026,63 @@ mod tests {
         }
         assert_eq!(engine.ticks_skipped(), 0, "step_tick loops never skip");
         engine.into_result().expect("in process")
+    }
+
+    /// Queues a message to every neighbour in round 0, then takes it back
+    /// on odd nodes; in round 1 decides on the senders it heard (bit `i`
+    /// for node `i`).
+    #[derive(Clone)]
+    struct EvenSpeakers;
+
+    impl Protocol for EvenSpeakers {
+        type Message = Val;
+        type Output = u64;
+        fn step(
+            &mut self,
+            ctx: &NodeContext<'_>,
+            inbox: &[Envelope<Val>],
+            outbox: &mut Outbox<Val>,
+            _rng: &mut ChaCha8Rng,
+        ) -> Action<u64> {
+            if ctx.round > 0 {
+                return Action::Decide(inbox.iter().fold(0, |heard, env| heard | 1 << env.from.0));
+            }
+            outbox.broadcast(ctx.neighbors.iter(), Val(0));
+            if ctx.id.0 % 2 == 1 {
+                outbox.clear();
+            }
+            Action::Continue
+        }
+    }
+
+    #[test]
+    fn a_cleared_turn_takes_back_only_its_own_envelopes() {
+        // On K_9 every node shares its round arena with the nodes before
+        // it, and an odd node's `clear` must leave their envelopes alone.
+        // Byzantine nodes 3 and 4 (one of each parity) cover the second
+        // arena, whose defaults the null adversary delivers.
+        let n = 9;
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .collect();
+        let g = Csr::from_undirected_edges(n as usize, &edges).unwrap();
+        let byzantine: Vec<bool> = (0..n).map(|i| i == 3 || i == 4).collect();
+        let evens: u64 = (0..n).step_by(2).map(|i| 1 << i).sum();
+        let (states, cfg) = (vec![EvenSpeakers; n as usize], EngineConfig::default());
+        let check = |result: RunResult<u64>, label: &str| {
+            for (v, output) in result.outputs.iter().enumerate() {
+                let expected = (!byzantine[v]).then_some(evens & !(1 << v));
+                assert_eq!(*output, expected, "{label}: node {v}");
+            }
+            // Five even speakers, eight neighbours each.
+            assert_eq!(result.metrics.messages_delivered, 5 * 8, "{label}");
+        };
+        let sync = SyncEngine::new(&g, states.clone(), byzantine.clone(), NullAdversary, cfg, 1);
+        check(sync.run(), "sync");
+        let layout = in_process(3, ClockPlan::Uniform).unwrap();
+        let sharded =
+            ShardedEngine::new(&g, states, byzantine.clone(), NullAdversary, cfg, 1, layout);
+        check(sharded.run().expect("in process"), "3 shards");
     }
 
     #[test]

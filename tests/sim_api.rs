@@ -464,3 +464,46 @@ fn old_free_functions_and_builder_agree() {
     );
     assert!(eval2.good_fraction_of_honest > 0.9);
 }
+
+#[test]
+fn out_of_range_protocol_params_are_spec_errors_not_panics() {
+    // Each of these once panicked inside the run (or, for `k = 0`, ran
+    // with `k − 1` wrapped around); a campaign worker that panicked left
+    // its job running forever.  Validation must refuse them up front.
+    let explicit = |d, k| {
+        ParamsSpec::Explicit(ProtocolParams {
+            d,
+            k,
+            delta: 0.6,
+            epsilon: 0.1,
+            edge_expansion: 1.0,
+        })
+    };
+    let cases = [
+        ParamsSpec::Derived {
+            delta: 0.6,
+            epsilon: 1.0,
+        },
+        ParamsSpec::Derived {
+            delta: 0.0,
+            epsilon: 0.1,
+        },
+        explicit(2, 1),
+        explicit(6, 0),
+    ];
+    let base = byzantine_sim(TopologySpec::SmallWorld { n: 64, d: 6 }, 3)
+        .spec()
+        .clone();
+    for params in cases {
+        let mut spec = base.clone();
+        spec.params = params.clone();
+        assert!(
+            matches!(spec.validate(), Err(SimError::Spec(_))),
+            "validate must refuse {params:?}"
+        );
+        assert!(
+            matches!(byzcount::sim::execute(&spec), Err(SimError::Spec(_))),
+            "execute must refuse {params:?}"
+        );
+    }
+}
