@@ -3,10 +3,10 @@
 //! The full-information adversary knows the entire network: the topology
 //! (including which edges belong to `H` — information honest nodes have to
 //! reconstruct), the protocol parameters and schedule, and (via
-//! [`netsim_runtime::AdversaryView`]) every node's state and queued message
-//! each round.  [`AdversaryKnowledge`] packages the static part so that the
-//! concrete strategies can be constructed once and then moved into the
-//! engine.
+//! [`netsim_runtime::AdversaryView`]) every message queued each round,
+//! before it chooses its own.  [`AdversaryKnowledge`] packages the static
+//! part so that the concrete strategies can be constructed once and then
+//! moved into the engine.
 
 use byzcount_core::{ProtocolParams, Schedule};
 use netsim_graph::{NodeId, SmallWorldNetwork};

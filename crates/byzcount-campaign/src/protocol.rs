@@ -41,6 +41,14 @@ pub const DEFAULT_PAGE: u32 = 64;
 /// `max` would let one request buffer an entire job's records; larger
 /// requests are rejected (the cursor loop makes more pages cheap).
 pub const MAX_PAGE: u32 = 4096;
+/// Longest frame line the server reads, newline included.  A line is
+/// buffered whole before it is parsed, so without a cap a peer that never
+/// sends a newline would grow one buffer until the server ran out of
+/// memory.  Past the cap the server answers one `protocol` error naming
+/// it and closes the connection.  The ceiling matches the workspace's
+/// other frame caps (`netsim_wire::MAX_FRAME_BYTES`,
+/// [`MAX_RECORD_BYTES`](crate::wal::MAX_RECORD_BYTES)).
+pub const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
 
 /// The handshake frame body (sent by both peers, server first).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]

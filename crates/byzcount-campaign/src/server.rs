@@ -11,8 +11,9 @@
 //!   served by the `stats` verb;
 //! * one **connection handler** per client — hello handshake first
 //!   (server speaks first), then a request/response loop.  Protocol
-//!   errors are answered in-band; only a hello major mismatch or EOF
-//!   closes the connection.
+//!   errors are answered in-band; only a hello major mismatch, a line
+//!   past [`MAX_LINE_BYTES`] (answered first) or EOF closes the
+//!   connection.
 //!
 //! Shutdown is graceful: the stop flag lets in-flight cells finish,
 //! their results are persisted and checkpointed, and the next start
@@ -22,7 +23,7 @@ use crate::error::CampaignError;
 use crate::net::{IoStream, Listener};
 use crate::protocol::{
     decode_hello, decode_line, encode_hello, encode_line, Hello, JobStatus, JobTelemetry, Request,
-    Response, ServerStats, MAX_PAGE,
+    Response, ServerStats, MAX_LINE_BYTES, MAX_PAGE,
 };
 use crate::scheduler::{run_campaign_telemetry, RunOutcome, RunnerConfig};
 use crate::spec::CampaignSpec;
@@ -30,7 +31,7 @@ use crate::telemetry::Telemetry;
 use crate::wal::CampaignStore;
 use byzcount_analysis::campaign::FullRegistry;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -345,16 +346,29 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener) {
     }
 }
 
-/// `read_line` that keeps polling through read timeouts so the thread
-/// notices server shutdown; a timeout mid-line keeps accumulating into
-/// `line` (`read_until` leaves already-read bytes in the buffer).
+/// `read_line` capped at [`MAX_LINE_BYTES`] that keeps polling through
+/// read timeouts so the thread notices server shutdown; a timeout mid-line
+/// keeps accumulating into `line` (`read_until` leaves already-read bytes
+/// in the buffer).  A line that reaches the cap without its newline is
+/// answered on `writer` with one `protocol` error naming the cap, and
+/// returned as that error, which closes the connection.
 fn read_frame(
     shared: &Shared,
     reader: &mut BufReader<IoStream>,
+    writer: &mut IoStream,
     line: &mut String,
 ) -> Result<usize, CampaignError> {
     loop {
-        match reader.read_line(line) {
+        let room = MAX_LINE_BYTES.saturating_sub(line.len()) as u64;
+        match reader.by_ref().take(room).read_line(line) {
+            Ok(_) if line.len() >= MAX_LINE_BYTES && !line.ends_with('\n') => {
+                let err = CampaignError::Protocol(format!(
+                    "request line longer than the {MAX_LINE_BYTES}-byte cap"
+                ));
+                writer.write_all(encode_line(&Response::from_error(&err)).as_bytes())?;
+                writer.flush()?;
+                return Err(err);
+            }
             Ok(n) => return Ok(n),
             Err(e)
                 if matches!(
@@ -382,7 +396,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: IoStream) -> Result<(), Campai
     writer.write_all(encode_hello(&Hello::current()).as_bytes())?;
     writer.flush()?;
     let mut line = String::new();
-    if read_frame(shared, &mut reader, &mut line)? == 0 {
+    if read_frame(shared, &mut reader, &mut writer, &mut line)? == 0 {
         return Ok(()); // peer went away before the handshake
     }
     let theirs = decode_hello(&line)?;
@@ -390,7 +404,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: IoStream) -> Result<(), Campai
 
     loop {
         line.clear();
-        if read_frame(shared, &mut reader, &mut line)? == 0 {
+        if read_frame(shared, &mut reader, &mut writer, &mut line)? == 0 {
             return Ok(()); // clean EOF (or shutdown)
         }
         if line.trim().is_empty() {

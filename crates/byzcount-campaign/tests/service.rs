@@ -325,3 +325,62 @@ fn out_of_range_params_are_refused_at_submit_and_the_server_keeps_serving() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&store);
 }
+
+#[test]
+fn an_over_long_request_line_is_answered_then_closed_and_the_server_keeps_serving() {
+    use byzcount_campaign::net::IoStream;
+    use byzcount_campaign::protocol::{decode_line, encode_hello, Hello, Response, MAX_LINE_BYTES};
+    use std::io::{BufRead, BufReader, Write};
+
+    let store = tmp_store("long-line");
+    let server = CampaignServer::spawn("127.0.0.1:0", config(&store)).unwrap();
+    let stream = IoStream::connect(server.addr()).unwrap();
+    // A server that kept reading would leave this client waiting forever.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    writer
+        .write_all(encode_hello(&Hello::current()).as_bytes())
+        .unwrap();
+
+    // One byte past the cap, and no newline.  The server may answer and
+    // close as soon as the cap is reached, so the last byte can meet a
+    // closed connection.
+    let chunk = vec![b'x'; 1 << 20];
+    for _ in 0..MAX_LINE_BYTES / chunk.len() {
+        writer.write_all(&chunk).unwrap();
+    }
+    let _ = writer.write_all(b"x");
+
+    line.clear();
+    reader.read_line(&mut line).expect("the server answers");
+    match decode_line::<Response>(&line).unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, "protocol");
+            assert!(
+                message.contains(&MAX_LINE_BYTES.to_string()),
+                "the error must name the cap: {message}"
+            );
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    // Closing with the last byte unread may reset the connection rather
+    // than end it; either way nothing more arrives.
+    line.clear();
+    match reader.read_line(&mut line) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("the server must close the connection: {other:?}, {line:?}"),
+    }
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    let stats = client.stats().expect("a new connection is still served");
+    assert_eq!(stats.running_jobs, 0);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}

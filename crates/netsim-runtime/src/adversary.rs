@@ -10,8 +10,16 @@
 //!
 //! The engine realises this by running the protocol for *all* nodes first
 //! (so the adversary can also see what its own nodes "would" do), then
-//! giving the adversary an [`AdversaryView`] of everything and letting it
-//! replace the Byzantine nodes' outgoing messages.
+//! giving the adversary an [`AdversaryView`] and letting it replace the
+//! Byzantine nodes' outgoing messages.  The view carries every envelope
+//! queued this round — honest and Byzantine-default alike, before the
+//! adversary chooses — plus the Byzantine and crash masks.  The rest of
+//! the full information is the adversary's own: the topology and
+//! parameters it was built with (e.g. `byzcount_adversary`'s
+//! `AdversaryKnowledge`), and whatever history it keeps across rounds.
+//! Node protocol states are *not* in the view: they live in the shards
+//! that step them, so a decision that read them would depend on the
+//! engine layout, while the view is the same on every layout.
 
 use crate::message::Envelope;
 use crate::node::Protocol;
@@ -25,9 +33,6 @@ pub struct AdversaryView<'a, P: Protocol> {
     pub byzantine: &'a [bool],
     /// Which nodes have crashed so far.
     pub crashed: &'a [bool],
-    /// The full per-node protocol states (honest and Byzantine alike) —
-    /// the "full information" part of the model.
-    pub states: &'a [P],
     /// Messages queued by honest nodes this round (the adversary is
     /// rushing: it sees them before choosing its own).
     pub honest_messages: &'a [Envelope<P::Message>],
@@ -142,12 +147,10 @@ mod tests {
     #[test]
     fn null_adversary_always_follows_protocol() {
         use rand::SeedableRng;
-        let states: Vec<Dummy> = vec![Dummy, Dummy];
         let view = AdversaryView::<Dummy> {
             round: 0,
             byzantine: &[false, true],
             crashed: &[false, false],
-            states: &states,
             honest_messages: &[],
             byzantine_default_messages: &[],
         };

@@ -42,11 +42,9 @@
 //! the handshake has a deadline ([`HELLO_DEADLINE`]): a worker that stops
 //! answering after it still blocks the coordinator.
 //!
-//! One documented caveat: the coordinator shows the adversary an empty
-//! `states` slice (worker-owned protocol states are not shipped).  No
-//! adversary in this workspace reads `AdversaryView::states`; one that
-//! did would need the states on the wire, which plain `Protocol` types do
-//! not support.
+//! The coordinator's adversary sees exactly what it sees in process: the
+//! gathered arenas and the masks.  Protocol states never leave their
+//! shard, on any layout, so nothing about them needs to cross the wire.
 
 use crate::clock::ClockPlan;
 use crate::message::{Envelope, SizedMessage};
@@ -570,7 +568,7 @@ where
             range.len()
         )));
     }
-    let mut shard = Shard::new(cfg.start, byzantine, cfg.seed, ClockPlan::Uniform);
+    let mut shard = Shard::new(cfg.start, states, byzantine, cfg.seed, ClockPlan::Uniform);
     for &id in &cfg.crashed {
         if !range.contains(&(id as usize)) {
             return Err(WireError::Corrupt(format!(
@@ -580,9 +578,9 @@ where
         shard.crash_initially(id as usize);
     }
     if cfg.keep_pristine {
-        shard.keep_pristine(&states);
+        shard.keep_pristine();
     }
-    serve(topology, shard, states, chan)
+    serve(topology, shard, chan)
 }
 
 /// A worker's loop: drive `shard` from decoded coordinator frames until
@@ -590,7 +588,6 @@ where
 pub(crate) fn serve<T, P, S>(
     topology: &T,
     mut shard: Shard<P>,
-    mut states: Vec<P>,
     chan: &mut S,
 ) -> Result<(), WireError>
 where
@@ -604,8 +601,8 @@ where
     loop {
         match recv_msg::<_, CoordMsg<P::Message>>(chan, &mut scratch)? {
             CoordMsg::RoundBegin { round, churn } => {
-                shard.apply_churn(&churn, &mut states)?;
-                shard.open(round, &mut states, topology);
+                shard.apply_churn(&churn)?;
+                shard.open(round, topology);
                 let msg = WorkerMsg::<_, P::Output>::Arenas {
                     honest: shard.honest.drain().collect(),
                     byz: shard.byz.drain().collect(),

@@ -495,7 +495,6 @@ where
                 round,
                 byzantine: &self.byzantine,
                 crashed: &self.crashed_scratch,
-                states: &self.states,
                 honest_messages: self.honest.envelopes(),
                 byzantine_default_messages: self.byz_default.envelopes(),
             };

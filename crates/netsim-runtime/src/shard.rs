@@ -5,11 +5,11 @@
 //! engine calls it directly when the shard lives in this process, and
 //! [`serve_shard_session`](crate::serve_shard_session) drives the same
 //! type from decoded frames when it lives behind a `netsim-wire` channel.
-//! A shard owns its range's RNG streams, statuses, outputs, mailboxes,
-//! round arenas, delivery-side metrics and calendar queue.  Protocol states
-//! are the one exception: the shard steps states it is lent, because in
-//! process they stay in one node-ordered vector the full-information
-//! adversary reads.
+//! A shard owns everything the engine keeps per node in its range: the
+//! protocol states, RNG streams, statuses, outputs, mailboxes, round
+//! arenas, delivery-side metrics and calendar queue.  Nothing outside the
+//! shard reads or writes them, so a shard can move whole to whichever
+//! thread steps it.
 //!
 //! A tick on a shard is [`open`](Shard::open) (step the due nodes into
 //! the arenas and apply their actions), then any number of
@@ -40,6 +40,8 @@ pub(crate) const TRANSITION_CRASHED: u8 = 1;
 pub(crate) struct Shard<P: Protocol> {
     /// First global node id of the range.
     pub(crate) start: usize,
+    /// The range's protocol states, in node order.
+    states: Vec<P>,
     byzantine: Vec<bool>,
     statuses: Vec<NodeStatus>,
     /// Pristine clones for churn recovery (present iff a fault plan is
@@ -73,11 +75,18 @@ pub(crate) struct Shard<P: Protocol> {
 }
 
 impl<P: Protocol> Shard<P> {
-    /// A shard over `start..start + byzantine.len()`.  Per-node RNG
-    /// streams and clock periods derive from the *global* node id, so
-    /// neither the shard layout nor the transport reaches the randomness.
-    pub(crate) fn new(start: usize, byzantine: Vec<bool>, seed: u64, clocks: ClockPlan) -> Self {
-        let range = start..start + byzantine.len();
+    /// A shard over `start..start + states.len()`, owning `states`.
+    /// Per-node RNG streams and clock periods derive from the *global*
+    /// node id, so neither the shard layout nor the transport reaches the
+    /// randomness.
+    pub(crate) fn new(
+        start: usize,
+        states: Vec<P>,
+        byzantine: Vec<bool>,
+        seed: u64,
+        clocks: ClockPlan,
+    ) -> Self {
+        let range = start..start + states.len();
         let len = range.len();
         let mut queue = CalendarQueue::new();
         let periods = (!clocks.is_synchronous()).then(|| {
@@ -88,6 +97,7 @@ impl<P: Protocol> Shard<P> {
         });
         Shard {
             start,
+            states,
             byzantine,
             statuses: vec![NodeStatus::Active; len],
             pristine: None,
@@ -114,13 +124,13 @@ impl<P: Protocol> Shard<P> {
         self.byzantine.len()
     }
 
-    /// Keep pristine clones of the range's `states`, so churn can reset
+    /// Keep pristine clones of the range's states, so churn can reset
     /// recovered nodes.
-    pub(crate) fn keep_pristine(&mut self, states: &[P])
+    pub(crate) fn keep_pristine(&mut self)
     where
         P: Clone,
     {
-        self.pristine = Some(states.to_vec());
+        self.pristine = Some(self.states.clone());
     }
 
     /// Mark a node crashed before the first tick.
@@ -131,11 +141,7 @@ impl<P: Protocol> Shard<P> {
     /// Apply the router's effective churn events for this range, in plan
     /// order: a crash fail-stops the node, a recovery brings it back with
     /// its pristine state, no output and an empty mailbox.
-    pub(crate) fn apply_churn(
-        &mut self,
-        churn: &[(u32, u8)],
-        states: &mut [P],
-    ) -> Result<(), WireError>
+    pub(crate) fn apply_churn(&mut self, churn: &[(u32, u8)]) -> Result<(), WireError>
     where
         P: Clone,
     {
@@ -149,7 +155,7 @@ impl<P: Protocol> Shard<P> {
                 }
                 (CHURN_CRASH, _) => self.statuses[local] = NodeStatus::Crashed,
                 (CHURN_RECOVER, Some(pristine)) => {
-                    states[local] = pristine[local].clone();
+                    self.states[local] = pristine[local].clone();
                     self.outputs[local] = None;
                     self.decided_round[local] = None;
                     self.statuses[local] = NodeStatus::Active;
@@ -174,13 +180,13 @@ impl<P: Protocol> Shard<P> {
     /// only its own status and output, and the router mirrors the
     /// transitions into the adversary-visible statuses only after the
     /// cut.
-    pub(crate) fn open<T: Topology>(&mut self, tick: u64, states: &mut [P], topology: &T) {
+    pub(crate) fn open<T: Topology>(&mut self, tick: u64, topology: &T) {
         self.tick = tick;
         self.metrics.begin_round();
         match self.periods.take() {
             None => {
-                for (local, state) in states.iter_mut().enumerate() {
-                    self.step(local, state, topology);
+                for local in 0..self.len() {
+                    self.step(local, topology);
                 }
             }
             // Due nodes step in node order (the queue's tie-break) and are
@@ -200,7 +206,7 @@ impl<P: Protocol> Shard<P> {
                         node,
                         None,
                     );
-                    self.step(local, &mut states[local], topology);
+                    self.step(local, topology);
                 }
                 self.scratch = due;
                 self.periods = Some(periods);
@@ -208,7 +214,7 @@ impl<P: Protocol> Shard<P> {
         }
     }
 
-    fn step<T: Topology>(&mut self, local: usize, state: &mut P, topology: &T) {
+    fn step<T: Topology>(&mut self, local: usize, topology: &T) {
         if self.statuses[local] == NodeStatus::Crashed {
             return;
         }
@@ -226,7 +232,8 @@ impl<P: Protocol> Shard<P> {
             &mut self.honest
         };
         outbox.begin_turn(id);
-        let action = state.step(&ctx, &self.mailboxes[local], outbox, &mut self.rngs[local]);
+        let (inbox, rng) = (&self.mailboxes[local], &mut self.rngs[local]);
+        let action = self.states[local].step(&ctx, inbox, outbox, rng);
         self.mailboxes[local].clear();
         // Byzantine nodes are puppets of the adversary: their "decisions"
         // are meaningless.

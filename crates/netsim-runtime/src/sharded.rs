@@ -11,8 +11,13 @@
 //! 1. **churn** — the fault plan is consulted globally, in plan order;
 //!    effective events go to the owning shards;
 //! 2. **node step** — every shard steps its due nodes and applies their
-//!    actions; in-process shards run in parallel on the rayon shim's
-//!    scoped threads, shards behind channels on their workers;
+//!    actions.  In-process shards step on persistent shard threads:
+//!    [`run`](ShardedEngine::run) fixes `L = min(S, threads)` lanes once
+//!    per run (the rayon shim's [`rayon::current_num_threads`], looked up
+//!    only when `S ≥ 2`).  Lane 0 is the engine thread; lanes `1..L` are
+//!    spawned for the run, each owning a fixed contiguous group of shards
+//!    that moves to it every tick and back once stepped.  Shards behind
+//!    channels step on their workers;
 //! 3. **adversary cut** — the shard arenas are gathered in shard order
 //!    (which *is* global node order) and the full-information adversary
 //!    sees the single gathered stream, against the pre-action statuses;
@@ -33,8 +38,11 @@
 //! plan are consulted in the unsharded order; each destination lives in
 //! exactly one shard, so per-recipient arrival order is preserved; and the
 //! shard metrics merge through [`RunMetrics::absorb_shard`] into the exact
-//! single-stream totals.  In-process layouts show the adversary every
-//! node's state; shards behind channels keep their states to themselves.
+//! single-stream totals.  Stepping a shard reads and writes only that
+//! shard, and the engine gathers arenas only once every lane has handed
+//! its shards back, so neither the lane count nor the thread a shard
+//! stepped on can reach a result.  Protocol states never leave their
+//! shard, so the adversary's view is the same on every layout.
 //!
 //! ## Clocks and sparse ticking
 //!
@@ -72,6 +80,7 @@ use netsim_trace::{Counter, Gauge, Phase, Recorder, SHARD_ROUTER};
 use netsim_wire::{duplex, Wire, WireError, WireHello, SPEC_VERSION_ANY};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// Which engine drives a run.
 ///
@@ -234,39 +243,37 @@ where
     }
 }
 
-/// Apply `f` to every task, recursively splitting the task list across the
-/// rayon shim's scoped threads — but only as deep as the configured worker
-/// count warrants ([`rayon::current_num_threads`], i.e. the
-/// `RAYON_NUM_THREADS` / programmatic override the rest of the workspace
-/// honours).  With one worker (or one shard) this is a plain sequential
-/// loop: no threads are spawned, so `S > cores` never pays for more
-/// fan-out than the machine can absorb, and results are identical either
-/// way (that is the engine's contract).
-fn for_each_shard<T: Send, F: Fn(&mut T) + Sync>(tasks: &mut [T], f: &F) {
-    let threads = rayon::current_num_threads();
-    let splits = if threads <= 1 {
-        0
-    } else {
-        // Enough binary splits to occupy every worker (same policy as the
-        // shim's own `drive`).
-        (usize::BITS - (threads - 1).leading_zeros()) as usize
-    };
-    for_each_shard_rec(tasks, f, splits);
+/// Step in-process shard `s` through `tick`'s node step, inside its
+/// `node-step` span.  Every lane steps its shards through this function.
+fn step_shard<T: Topology, P: Protocol>(
+    s: usize,
+    shard: &mut Shard<P>,
+    tick: u64,
+    topology: &T,
+    rec: Option<&dyn Recorder>,
+) {
+    let s = s as u32;
+    if let Some(rec) = rec {
+        rec.phase_begin(s, tick, Phase::NodeStep);
+    }
+    shard.open(tick, topology);
+    if let Some(rec) = rec {
+        rec.phase_end(s, tick, Phase::NodeStep);
+    }
 }
 
-fn for_each_shard_rec<T: Send, F: Fn(&mut T) + Sync>(tasks: &mut [T], f: &F, splits_left: usize) {
-    if tasks.len() <= 1 || splits_left == 0 {
-        for task in tasks {
-            f(task);
-        }
-        return;
-    }
-    let mid = tasks.len() / 2;
-    let (left, right) = tasks.split_at_mut(mid);
-    rayon::join(
-        || for_each_shard_rec(left, f, splits_left - 1),
-        || for_each_shard_rec(right, f, splits_left - 1),
-    );
+/// The engine's end of a spawned shard thread (lanes `1..L`).  The lane
+/// owns shards `first..` up to the next lane's `first`; each tick they
+/// travel to it in one vector and come back in the same vector.
+struct Lane<P: Protocol> {
+    /// The lane's first shard.
+    first: usize,
+    /// Hands the lane the tick and its shards.
+    work: SyncSender<(u64, Vec<Shard<P>>)>,
+    /// Takes the shards back once stepped.
+    done: Receiver<Vec<Shard<P>>>,
+    /// The (empty) vector the shards travel in, kept between ticks.
+    spare: Vec<Shard<P>>,
 }
 
 /// A [`ShardedEngine`]'s layout: how many contiguous shards, under which
@@ -309,10 +316,6 @@ where
     layout: Layout,
     config: EngineConfig,
     seed: u64,
-    /// Node-ordered protocol states: the in-process shards step them in
-    /// place and the adversary reads them.  Empty once the shards live
-    /// behind channels.
-    states: Vec<P>,
     byzantine: Vec<bool>,
     /// Every node's status as the router sees it: churn applies here
     /// first, the shards' transitions after each cut.
@@ -330,6 +333,10 @@ where
     /// Destination shard of each node.
     shard_of: Vec<u32>,
     links: Links<P>,
+    /// The spawned shard threads stepping in-process shards beside the
+    /// engine thread.  Empty outside [`run`](Self::run) and when `L = 1`:
+    /// then every shard steps inline.
+    lanes: Vec<Lane<P>>,
     /// Router-side accounting: rounds, validation drops, fault losses and
     /// deferrals, churn.  Merged with the shard metrics at the end.
     metrics: RunMetrics,
@@ -380,12 +387,14 @@ where
         let bounds = shard_bounds(n, shards);
         let count = bounds.len() - 1;
         let mut shard_of = vec![0u32; n];
+        let mut states = states.into_iter();
         let shards = bounds
             .windows(2)
             .enumerate()
             .map(|(s, w)| {
                 shard_of[w[0]..w[1]].fill(s as u32);
-                Shard::new(w[0], byzantine[w[0]..w[1]].to_vec(), seed, clocks)
+                let mine = states.by_ref().take(w[1] - w[0]).collect();
+                Shard::new(w[0], mine, byzantine[w[0]..w[1]].to_vec(), seed, clocks)
             })
             .collect();
         ShardedEngine {
@@ -393,7 +402,6 @@ where
             layout,
             config,
             seed,
-            states,
             byzantine,
             statuses: vec![NodeStatus::Active; n],
             churned_down: vec![false; n],
@@ -404,6 +412,7 @@ where
             bounds,
             shard_of,
             links: Links::Local(shards),
+            lanes: Vec::new(),
             metrics: RunMetrics::default(),
             honest_arena: Vec::new(),
             byz_default: Vec::new(),
@@ -434,7 +443,7 @@ where
     pub fn with_fault_plan(mut self, plan: Box<dyn FaultPlan>) -> Self {
         if let Links::Local(shards) = &mut self.links {
             for shard in shards {
-                shard.keep_pristine(&self.states[shard.start..shard.start + shard.len()]);
+                shard.keep_pristine();
             }
         }
         self.fault_plan = Some(plan);
@@ -520,23 +529,24 @@ where
         self.byz_default.clear();
         match &mut self.links {
             Links::Local(shards) => {
-                let topology = self.topology;
-                let mut rest = self.states.as_mut_slice();
-                let mut tasks: Vec<(u32, &mut Shard<P>, &mut [P])> = Vec::new();
-                for (s, shard) in shards.iter_mut().enumerate() {
-                    let (mine, tail) = std::mem::take(&mut rest).split_at_mut(shard.len());
-                    rest = tail;
-                    tasks.push((s as u32, shard, mine));
+                // Last lane first, so each lane's group is the tail of
+                // `shards` when it leaves, and appending the groups back
+                // in lane order restores shard order.
+                for lane in self.lanes.iter_mut().rev() {
+                    let mut group = std::mem::take(&mut lane.spare);
+                    group.extend(shards.drain(lane.first..));
+                    lane.work
+                        .send((tick, group))
+                        .expect("a shard lane panicked");
                 }
-                for_each_shard(&mut tasks, &|(s, shard, states)| {
-                    if let Some(rec) = rec {
-                        rec.phase_begin(*s, tick, Phase::NodeStep);
-                    }
-                    shard.open(tick, states, topology);
-                    if let Some(rec) = rec {
-                        rec.phase_end(*s, tick, Phase::NodeStep);
-                    }
-                });
+                for (s, shard) in shards.iter_mut().enumerate() {
+                    step_shard(s, shard, tick, self.topology, rec);
+                }
+                for lane in &mut self.lanes {
+                    let mut group = lane.done.recv().expect("a shard lane panicked");
+                    shards.append(&mut group);
+                    lane.spare = group;
+                }
                 for shard in shards.iter_mut() {
                     self.honest_arena.extend(shard.honest.drain());
                     self.byz_default.extend(shard.byz.drain());
@@ -563,7 +573,6 @@ where
             round: tick,
             byzantine: &self.byzantine,
             crashed: &self.crashed_scratch,
-            states: &self.states,
             honest_messages: &self.honest_arena,
             byzantine_default_messages: &self.byz_default,
         };
@@ -688,9 +697,8 @@ where
         }
         if let Links::Local(shards) = &mut self.links {
             for (shard, churn) in shards.iter_mut().zip(&mut self.churn) {
-                let states = &mut self.states[shard.start..shard.start + shard.len()];
                 shard
-                    .apply_churn(churn, states)
+                    .apply_churn(churn)
                     .expect("the router only emits valid churn for shards it set up");
                 churn.clear();
             }
@@ -791,8 +799,11 @@ where
         self.step_tick()
     }
 
-    /// Run until the stop condition and return the result.  A
-    /// [`Layout::Wire`] run moves its shards behind their channels first.
+    /// Run until the stop condition and return the result.  An
+    /// [`Layout::InProcess`] run with `S ≥ 2` shards looks the thread
+    /// count up once and spawns its `min(S, threads) - 1` extra shard
+    /// threads for the whole run; a [`Layout::Wire`] run moves its shards
+    /// behind their channels first.
     ///
     /// # Errors
     /// A shard channel failing mid-conversation (a torn frame, a dead
@@ -801,22 +812,27 @@ where
     /// [`RunError::Fleet`].  This path never panics on wire faults.
     pub fn run(mut self) -> Result<RunResult<P::Output>, RunError> {
         let fleet = match &self.layout {
-            Layout::InProcess { .. } => return self.drive(),
+            Layout::InProcess { .. } => {
+                let lanes = match self.bounds.len() - 1 {
+                    1 => 1,
+                    shards => shards.min(rayon::current_num_threads()),
+                };
+                return self.drive(lanes);
+            }
             Layout::Wire { fleet, .. } => fleet.clone().filter(|f| !f.addrs.is_empty()),
         };
         let Links::Local(shards) = std::mem::replace(&mut self.links, Links::Local(Vec::new()))
         else {
             unreachable!("an engine starts with its shards in process")
         };
-        let states = std::mem::take(&mut self.states);
         if let Some(fleet) = fleet {
             // The workers rebuild their ranges from the fleet's payload, so
             // the coordinator keeps no per-node state at all.
-            drop((shards, states));
+            drop(shards);
             let pristine = self.fault_plan.is_some();
             let chans = fleet.dial(&self.bounds, self.seed, pristine, &self.statuses)?;
             self.links = Links::Remote(Remote::new(chans));
-            return self.drive();
+            return self.drive(1);
         }
         // Pipe workers return `Result` and never panic; when the
         // coordinator errors out, dropping its channel ends gives every
@@ -824,15 +840,13 @@ where
         let topology = self.topology;
         let hello = WireHello::current(SPEC_VERSION_ANY);
         std::thread::scope(|scope| {
-            let mut states = states.into_iter();
             let mut chans: Vec<Box<dyn Channel>> = Vec::with_capacity(shards.len());
             for shard in shards {
-                let mine: Vec<P> = states.by_ref().take(shard.len()).collect();
                 let (coord, mut worker) = duplex();
                 let hello = hello.clone();
                 scope.spawn(move || -> Result<(), WireError> {
                     pipe_hello(&mut worker, &hello)?;
-                    serve(topology, shard, mine, &mut worker)
+                    serve(topology, shard, &mut worker)
                 });
                 chans.push(Box::new(coord));
             }
@@ -840,15 +854,48 @@ where
                 pipe_hello(chan, &hello).map_err(lost(s, "hello"))?;
             }
             self.links = Links::Remote(Remote::new(chans));
-            self.drive()
+            self.drive(1)
         })
     }
 
-    fn drive(mut self) -> Result<RunResult<P::Output>, RunError> {
-        while !self.finished() {
-            self.advance()?;
-        }
-        self.into_result()
+    /// Run to the end with the in-process shards spread over `lanes`
+    /// threads (clamped to `1..=S`): the engine thread, plus `lanes - 1`
+    /// spawned here for the whole run.  A panic on any lane ends the run
+    /// with a panic: a lane that dies drops its channel ends, so the
+    /// engine's next hand-over fails, and an engine that unwinds drops
+    /// its own ends, so every lane's wait fails and the scope joins.
+    fn drive(mut self, lanes: usize) -> Result<RunResult<P::Output>, RunError> {
+        std::thread::scope(|scope| {
+            if let Links::Local(shards) = &self.links {
+                let groups = shard_bounds(shards.len(), lanes);
+                for w in groups.windows(2).skip(1) {
+                    let (work, inbox) = sync_channel(1);
+                    let (outbox, done) = sync_channel(1);
+                    let (first, topology, rec) = (w[0], self.topology, self.recorder);
+                    scope.spawn(move || {
+                        while let Ok((tick, mut group)) = inbox.recv() {
+                            for (s, shard) in (first..).zip(&mut group) {
+                                step_shard(s, shard, tick, topology, rec);
+                            }
+                            if outbox.send(group).is_err() {
+                                return;
+                            }
+                        }
+                    });
+                    let spare = Vec::with_capacity(w[1] - w[0]);
+                    self.lanes.push(Lane {
+                        first,
+                        work,
+                        done,
+                        spare,
+                    });
+                }
+            }
+            while !self.finished() {
+                self.advance()?;
+            }
+            self.into_result()
+        })
     }
 
     /// Consume the engine and produce the result without running further.
@@ -1243,25 +1290,67 @@ mod tests {
     }
 
     #[test]
-    fn single_worker_fan_out_is_sequential_and_results_are_unchanged() {
-        // With one configured worker the shard loop must not spawn (the
-        // splits budget is zero) and — the actual contract — results must
-        // be identical to the multi-worker run.  The override is
-        // process-global but harmless to concurrent tests: nothing in this
-        // crate's suite may depend on the worker count.
-        struct RestoreOverride;
-        impl Drop for RestoreOverride {
-            fn drop(&mut self) {
-                rayon::set_num_threads_override(None);
+    fn every_lane_count_steps_to_the_same_result() {
+        // Six shards over one lane (every shard inline on the engine
+        // thread), two and three lanes (several shards per lane) and six
+        // (one shard per lane), under both clock families.
+        let case = Case::new(24, 60, 13);
+        let g = line_graph(case.n);
+        for clocks in [ClockPlan::Uniform, STRATIFIED] {
+            let layout = Layout::InProcess { shards: 6, clocks };
+            let inline = case.engine(&g, layout.clone()).drive(1).unwrap();
+            for lanes in [2, 3, 6] {
+                let result = case.engine(&g, layout.clone()).drive(lanes).unwrap();
+                let label = format!("{clocks:?}, {lanes} lanes");
+                assert_results_equal(&inline, &result, &label);
             }
         }
-        let _restore = RestoreOverride;
-        let case = Case::new(24, 60, 13);
-        rayon::set_num_threads_override(Some(1));
-        let sequential = case.run(in_process(6, ClockPlan::Uniform));
-        rayon::set_num_threads_override(Some(8));
-        let fanned_out = case.run(in_process(6, ClockPlan::Uniform));
-        assert_results_equal(&sequential, &fanned_out, "worker-count independence");
+    }
+
+    /// Continues forever, except that node `node` panics at tick `tick`.
+    #[derive(Clone)]
+    struct PanicAt {
+        node: u32,
+        tick: u64,
+    }
+
+    impl Protocol for PanicAt {
+        type Message = Val;
+        type Output = u64;
+        fn step(
+            &mut self,
+            ctx: &NodeContext<'_>,
+            _inbox: &[Envelope<Val>],
+            _outbox: &mut Outbox<Val>,
+            _rng: &mut ChaCha8Rng,
+        ) -> Action<u64> {
+            assert!(
+                (ctx.id.0, ctx.round) != (self.node, self.tick),
+                "node {} fails at tick {}",
+                self.node,
+                self.tick
+            );
+            Action::Continue
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_ends_the_run_with_a_panic_on_any_lane() {
+        // Nine nodes over three shards and three lanes: node 7 lives in
+        // shard 2, stepped on a spawned lane; node 1 in shard 0, stepped on
+        // the engine thread while the other lanes step theirs.  Either way
+        // the run must end in a panic, and not hang.
+        let (n, cfg) = (9, EngineConfig::default());
+        let g = line_graph(n);
+        for node in [7, 1] {
+            let states = vec![PanicAt { node, tick: 3 }; n];
+            let layout = in_process(3, ClockPlan::Uniform).unwrap();
+            let engine =
+                ShardedEngine::new(&g, states, vec![false; n], NullAdversary, cfg, 1, layout);
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.drive(3)));
+            assert!(outcome.is_err(), "node {node}: the run must panic");
+        }
     }
 
     // -- Expiry regressions -------------------------------------------------

@@ -62,14 +62,14 @@ fn determinism_matrix_threads_and_shards_cannot_change_reports() {
     // The determinism matrix, extended to the sharded *and* async
     // engines: one RunSpec and one BatchSpec, each executed over the
     // cross product of worker counts RAYON_NUM_THREADS ∈ {1, 2, 8} ×
-    // engines {unsharded, sharded S ∈ {1, 2, 4, 8}, async (uniform
-    // clocks)}, must produce byte-identical JSON in every cell (modulo
-    // the embedded engine knob, which is the one field that names the
-    // cell).  The worker count is pinned through the rayon shim's
-    // programmatic override (equivalent to RAYON_NUM_THREADS, which the
-    // shim consults at each drive), so this genuinely varies both the
-    // batch fan-out *and* the sharded engine's per-round scoped-thread
-    // fan-out; engine-internal state (reused inboxes, outboxes, arenas,
+    // engines {unsharded, sharded S ∈ {1, 2, 4, 8}, async and sharded
+    // async S = 3 (uniform clocks)}, must produce byte-identical JSON in
+    // every cell (modulo the embedded engine knob, which is the one field
+    // that names the cell).  The worker count is pinned through the rayon
+    // shim's programmatic override (equivalent to RAYON_NUM_THREADS), so
+    // this genuinely varies both the batch fan-out *and* the sharded
+    // engine's lane count, L = min(S, threads), which each run fixes once
+    // at its start; engine-internal state (reused inboxes, outboxes, arenas,
     // per-shard deferred rings, the async calendar queue) must never leak
     // between runs or depend on scheduling.  (Byte-identity *across* the
     // buffer-reuse refactor — old engine vs new — is locked down
@@ -108,6 +108,10 @@ fn determinism_matrix_threads_and_shards_cannot_change_reports() {
         EngineSpec::Sharded { shards: 4 },
         EngineSpec::Sharded { shards: 8 },
         EngineSpec::asynchronous(),
+        EngineSpec::ShardedAsync {
+            shards: 3,
+            clocks: ClockPlan::Uniform,
+        },
     ];
     // Erase the one intentionally-varying field before comparison.
     let run_json = |engine: EngineSpec| {
