@@ -6,7 +6,8 @@
 //! * `spec.json` — the [`CampaignSpec`], written once at creation
 //!   (tmp + fsync + rename).
 //! * `wal.log` — framed [`CellRecord`]s: `[u32 LE payload length]`
-//!   `[u32 LE FNV-1a checksum]` `[compact JSON payload]`.  Appends are
+//!   `[u32 LE FNV-1a checksum]` `[compact JSON payload]`, the checksum
+//!   the wire frames use ([`netsim_wire::checksum32`]).  Appends are
 //!   flushed and `fdatasync`ed record-by-record, so after a crash at most
 //!   the *tail* record is torn.
 //! * `snapshot.json` — a compacted image of every durable record, written
@@ -24,6 +25,7 @@ use crate::error::CampaignError;
 use crate::spec::{CampaignCell, CampaignSpec};
 use crate::telemetry::Telemetry;
 use byzcount_core::sim::RunReport;
+use netsim_wire::checksum32;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -57,16 +59,6 @@ pub struct CellRecord {
 struct Snapshot {
     next_seq: u64,
     records: Vec<CellRecord>,
-}
-
-/// FNV-1a 32-bit — the frame checksum.
-fn checksum32(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
 }
 
 /// Frame a payload for the WAL.

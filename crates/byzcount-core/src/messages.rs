@@ -15,7 +15,7 @@
 
 use crate::color::Color;
 use netsim_runtime::{MessageSize, SizedMessage};
-use netsim_wire::{Reader, Wire, WireError};
+use netsim_wire::{put_varint, Reader, Wire, WireError};
 use serde::{Deserialize, Serialize};
 
 /// A message of the counting protocols.
@@ -55,37 +55,58 @@ impl MessageSize for CountingMessage {
     }
 }
 
-/// The canonical binary encoding (tag byte + fields), required to run the
-/// counting protocols on the distributed engine's shard channels.
+/// Append node ids as a varint count and varint ids.
+fn put_ids(out: &mut Vec<u8>, ids: &[u32]) {
+    put_varint(out, ids.len() as u64);
+    for &id in ids {
+        put_varint(out, u64::from(id));
+    }
+}
+
+fn read_ids(r: &mut Reader<'_>) -> Result<Vec<u32>, WireError> {
+    let len = r.varint_len()?;
+    let mut ids = Vec::with_capacity(len);
+    for _ in 0..len {
+        ids.push(r.varint_u32()?);
+    }
+    Ok(ids)
+}
+
+/// The canonical binary encoding, required to run the counting protocols
+/// on the distributed engine's shard channels: a tag byte, then the
+/// fields as minimal varints (colors and ids are small, so an audit takes
+/// two bytes).
 impl Wire for CountingMessage {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             CountingMessage::Adjacency { neighbors } => {
                 out.push(0);
-                neighbors.encode(out);
+                put_ids(out, neighbors);
             }
             CountingMessage::Flood { color, path } => {
                 out.push(1);
-                color.encode(out);
-                path.encode(out);
+                put_varint(out, u64::from(*color));
+                put_ids(out, path);
             }
             CountingMessage::Audit { color } => {
                 out.push(2);
-                color.encode(out);
+                put_varint(out, u64::from(*color));
             }
         }
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match u8::decode(r)? {
             0 => Ok(CountingMessage::Adjacency {
-                neighbors: Vec::decode(r)?,
+                neighbors: read_ids(r)?,
             }),
             1 => Ok(CountingMessage::Flood {
-                color: Color::decode(r)?,
-                path: Vec::decode(r)?,
+                color: r.varint_u32()?,
+                path: read_ids(r)?,
             }),
             2 => Ok(CountingMessage::Audit {
-                color: Color::decode(r)?,
+                color: r.varint_u32()?,
             }),
             other => Err(WireError::Corrupt(format!(
                 "unknown counting-message tag {other}"
@@ -131,6 +152,10 @@ mod tests {
         }
         // An unknown tag is a clean decode error, never a panic.
         assert!(netsim_wire::decode_from_slice::<CountingMessage>(&[9]).is_err());
+        // An audit is two bytes, and a padded color is refused.
+        let audit = netsim_wire::encode_to_vec(&CountingMessage::Audit { color: 9 });
+        assert_eq!(audit, [2, 9]);
+        assert!(netsim_wire::decode_from_slice::<CountingMessage>(&[2, 0x89, 0x00]).is_err());
     }
 
     #[test]

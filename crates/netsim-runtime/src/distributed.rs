@@ -25,11 +25,25 @@
 //! transitions }`**: its envelopes in node order plus the status
 //! transitions its nodes took.  The coordinator gathers the arenas in
 //! shard order, takes the adversary cut, routes, and sends each worker
-//! **`Fates { deliveries, deferred }`**: the envelopes destined for its
-//! range, in global route order, and the deferred ones with their due
-//! ticks.  At the end, **`Finish`** prompts each worker to expire its
-//! in-flight deferrals and ship one final **`Done`** frame: its
-//! delivery-side [`RunMetrics`], its range's outputs and decision rounds.
+//! **`Fates`**: one sequence, in global route order, of every envelope
+//! routed to its range this tick, each due now or deferred to a later
+//! tick.  An envelope the worker shipped itself comes back as a reference
+//! into its own arenas (honest, then Byzantine-default, one index space);
+//! only another shard's envelopes and the ones the adversary wrote travel
+//! whole.  So each envelope crosses the wire once, or twice if it changes
+//! shard.  A worker keeps the arenas it shipped until the tick's fates
+//! arrive and discards the envelopes no item names (dropped by validation
+//! or lost to the fault plan).  At the end, **`Finish`** prompts each
+//! worker to expire its in-flight deferrals and ship one final **`Done`**
+//! frame: its delivery-side [`RunMetrics`], its range's outputs and
+//! decision rounds.
+//!
+//! The per-tick frames use the compact canonical encoding of
+//! [`batch`](crate::batch): minimal varints, senders delta-coded inside
+//! an arena, references delta-coded inside a batch.  Churn events and
+//! transitions are a varint count, then a varint node id and an op byte
+//! each; a `RoundBegin`'s round is a varint.  `Done` keeps the codec's
+//! fixed-width layout.
 //!
 //! ## Failure semantics
 //!
@@ -42,10 +56,17 @@
 //! the handshake has a deadline ([`HELLO_DEADLINE`]): a worker that stops
 //! answering after it still blocks the coordinator.
 //!
+//! The worker side is just as strict.  A coordinator frame out of turn,
+//! or one that does not decode — a reference out of range, repeated or
+//! stepping backwards, an item addressed outside the range, a non-minimal
+//! varint, trailing bytes — ends the session with [`WireError::Corrupt`],
+//! never a panic.
+//!
 //! The coordinator's adversary sees exactly what it sees in process: the
 //! gathered arenas and the masks.  Protocol states never leave their
 //! shard, on any layout, so nothing about them needs to cross the wire.
 
+use crate::batch::{decode_arena, encode_arena, FatesWriter};
 use crate::clock::ClockPlan;
 use crate::message::{Envelope, SizedMessage};
 use crate::metrics::RunMetrics;
@@ -54,10 +75,11 @@ use crate::shard::Shard;
 use crate::topology::Topology;
 use netsim_graph::NodeId;
 use netsim_wire::{
-    decode_from_slice, encode_to_vec, read_frame, recv_hello, send_hello, write_frame, IoStream,
-    Reader, ShardAssignment, Wire, WireError, WireHello, HELLO_DEADLINE,
+    put_varint, read_frame, recv_hello, send_hello, write_frame, IoStream, Reader, ShardAssignment,
+    Wire, WireError, WireHello, HELLO_DEADLINE,
 };
 use std::io::{Read, Write};
+use std::ops::Range;
 
 /// Why a distributed run could not complete.
 ///
@@ -190,16 +212,19 @@ impl Wire for SizedMessage {
     }
 }
 
+/// A lone envelope: sender and recipient as varints, then the payload.
+/// The per-tick batches code envelopes more tightly still (see
+/// [`batch`](crate::batch)).
 impl<M: Wire> Wire for Envelope<M> {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.from.0.encode(out);
-        self.to.0.encode(out);
+        put_varint(out, u64::from(self.from.0));
+        put_varint(out, u64::from(self.to.0));
         self.payload.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Envelope {
-            from: NodeId(u32::decode(r)?),
-            to: NodeId(u32::decode(r)?),
+            from: NodeId(r.varint_u32()?),
+            to: NodeId(r.varint_u32()?),
             payload: M::decode(r)?,
         })
     }
@@ -238,130 +263,54 @@ impl Wire for RunMetrics {
     }
 }
 
-/// Coordinator → worker messages.
-enum CoordMsg<M> {
-    /// Open a tick: effective churn events for the worker's range, in the
-    /// plan's global order.
-    RoundBegin { round: u64, churn: Vec<(u32, u8)> },
-    /// The tick's routing verdicts for this worker's destinations:
-    /// immediate deliveries (in global route order) and deferred envelopes
-    /// with their due ticks.
-    Fates {
-        deliveries: Vec<Envelope<M>>,
-        deferred: Vec<(u64, Envelope<M>)>,
-    },
-    /// The run is over: expire in-flight deferrals and ship `Done`.
-    Finish,
-}
+/// Coordinator → worker frame tags.
+const ROUND_BEGIN: u8 = 0;
+const FATES: u8 = 1;
+const FINISH: u8 = 2;
+/// Worker → coordinator frame tags.
+const ARENAS: u8 = 0;
+const DONE: u8 = 1;
 
-/// Worker → coordinator messages.
-enum WorkerMsg<M, O> {
-    /// The tick's gathered envelopes (honest and Byzantine-default, each
-    /// in node order) plus the status transitions the worker's nodes took.
-    Arenas {
-        honest: Vec<Envelope<M>>,
-        byz: Vec<Envelope<M>>,
-        transitions: Vec<(u32, u8)>,
-    },
-    /// The worker's final frame: delivery-side metrics, its range's
-    /// outputs and decision rounds.
-    Done {
-        metrics: RunMetrics,
-        outputs: Vec<Option<O>>,
-        decided: Vec<Option<u64>>,
-    },
-}
-
-impl<M: Wire> Wire for CoordMsg<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CoordMsg::RoundBegin { round, churn } => {
-                out.push(0);
-                round.encode(out);
-                churn.encode(out);
-            }
-            CoordMsg::Fates {
-                deliveries,
-                deferred,
-            } => {
-                out.push(1);
-                deliveries.encode(out);
-                deferred.encode(out);
-            }
-            CoordMsg::Finish => out.push(2),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(CoordMsg::RoundBegin {
-                round: u64::decode(r)?,
-                churn: Vec::decode(r)?,
-            }),
-            1 => Ok(CoordMsg::Fates {
-                deliveries: Vec::decode(r)?,
-                deferred: Vec::decode(r)?,
-            }),
-            2 => Ok(CoordMsg::Finish),
-            other => Err(WireError::Corrupt(format!(
-                "unknown coordinator message tag {other}"
-            ))),
-        }
+/// Append `(node, op)` pairs (churn events or status transitions): a
+/// varint count, then a varint node id and an op byte each.
+fn put_ops(out: &mut Vec<u8>, ops: &[(u32, u8)]) {
+    put_varint(out, ops.len() as u64);
+    for &(node, op) in ops {
+        put_varint(out, u64::from(node));
+        out.push(op);
     }
 }
 
-impl<M: Wire, O: Wire> Wire for WorkerMsg<M, O> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            WorkerMsg::Arenas {
-                honest,
-                byz,
-                transitions,
-            } => {
-                out.push(0);
-                honest.encode(out);
-                byz.encode(out);
-                transitions.encode(out);
-            }
-            WorkerMsg::Done {
-                metrics,
-                outputs,
-                decided,
-            } => {
-                out.push(1);
-                metrics.encode(out);
-                outputs.encode(out);
-                decided.encode(out);
-            }
+/// Decode `(node, op)` pairs, appending them to `into`.  Both op
+/// vocabularies (churn, transitions) are `0` or `1`, and every node must
+/// lie in `nodes`.
+fn decode_ops(
+    r: &mut Reader<'_>,
+    nodes: Range<u32>,
+    into: &mut Vec<(u32, u8)>,
+) -> Result<(), WireError> {
+    for _ in 0..r.varint_len()? {
+        let node = r.varint_u32()?;
+        let op = u8::decode(r)?;
+        if !nodes.contains(&node) || op > 1 {
+            return Err(WireError::Corrupt(format!(
+                "op {op} for node {node} (this shard holds {nodes:?})"
+            )));
         }
+        into.push((node, op));
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(WorkerMsg::Arenas {
-                honest: Vec::decode(r)?,
-                byz: Vec::decode(r)?,
-                transitions: Vec::decode(r)?,
-            }),
-            1 => Ok(WorkerMsg::Done {
-                metrics: RunMetrics::decode(r)?,
-                outputs: Vec::decode(r)?,
-                decided: Vec::decode(r)?,
-            }),
-            other => Err(WireError::Corrupt(format!(
-                "unknown worker message tag {other}"
-            ))),
-        }
-    }
+    Ok(())
 }
 
-/// Send one codec message as one frame.
-fn send_msg<W: Write, V: Wire>(w: &mut W, msg: &V) -> Result<(), WireError> {
-    write_frame(w, &encode_to_vec(msg))
-}
-
-/// Receive one codec message from one frame (`scratch` is a reused buffer).
-fn recv_msg<R: Read, V: Wire>(r: &mut R, scratch: &mut Vec<u8>) -> Result<V, WireError> {
-    read_frame(r, scratch)?;
-    decode_from_slice(scratch)
+/// A frame's tag, checked against the one this step of the conversation
+/// expects.
+fn expect_tag(r: &mut Reader<'_>, want: u8, what: &str) -> Result<(), WireError> {
+    match u8::decode(r)? {
+        tag if tag == want => Ok(()),
+        tag => Err(WireError::Corrupt(format!(
+            "frame tag {tag} where {what} (tag {want}) was due"
+        ))),
+    }
 }
 
 /// Exchange hellos over a pipe: both ends of an in-process channel share
@@ -382,22 +331,27 @@ impl<S: Read + Write + Send> Channel for S {}
 pub(crate) type ShardOutcome<O> = (RunMetrics, Vec<Option<O>>, Vec<Option<u64>>);
 
 /// The coordinator's side of shards behind channels: the channels, plus
-/// this tick's routing verdicts batched per shard.  It holds no per-node
-/// state at all.
-pub(crate) struct Remote<M> {
+/// this tick's `Fates` batches as they build.  It holds no per-node state
+/// at all.
+pub(crate) struct Remote {
     chans: Vec<Box<dyn Channel>>,
-    deliveries: Vec<Vec<Envelope<M>>>,
-    deferred: Vec<Vec<(u64, Envelope<M>)>>,
-    scratch: Vec<u8>,
+    /// Per shard, where the envelopes it shipped this tick sit in the
+    /// gathered stream (honest arena, then Byzantine-default arena).
+    shipped: Vec<[Range<usize>; 2]>,
+    fates: Vec<FatesWriter>,
+    /// Reused receive and send buffers.
+    inbox: Vec<u8>,
+    outbox: Vec<u8>,
 }
 
-impl<M: Wire> Remote<M> {
+impl Remote {
     pub(crate) fn new(chans: Vec<Box<dyn Channel>>) -> Self {
         Remote {
-            deliveries: chans.iter().map(|_| Vec::new()).collect(),
-            deferred: chans.iter().map(|_| Vec::new()).collect(),
+            shipped: vec![[0..0, 0..0]; chans.len()],
+            fates: chans.iter().map(|_| FatesWriter::default()).collect(),
             chans,
-            scratch: Vec::new(),
+            inbox: Vec::new(),
+            outbox: Vec::new(),
         }
     }
 
@@ -405,63 +359,75 @@ impl<M: Wire> Remote<M> {
     /// arena is read, so the workers step in parallel.
     pub(crate) fn open(&mut self, tick: u64, churn: &mut [Vec<(u32, u8)>]) -> Result<(), RunError> {
         for (s, chan) in self.chans.iter_mut().enumerate() {
-            let msg = CoordMsg::<M>::RoundBegin {
-                round: tick,
-                churn: std::mem::take(&mut churn[s]),
-            };
-            send_msg(chan, &msg).map_err(lost(s, "round-begin"))?;
+            self.outbox.clear();
+            self.outbox.push(ROUND_BEGIN);
+            put_varint(&mut self.outbox, tick);
+            put_ops(&mut self.outbox, &churn[s]);
+            churn[s].clear();
+            write_frame(chan, &self.outbox).map_err(lost(s, "round-begin"))?;
+            self.fates[s].begin(tick);
         }
         Ok(())
     }
 
-    /// Gather every shard's arenas and transitions, in shard order.
-    pub(crate) fn gather<O: Wire>(
+    /// Gather every shard's arenas and transitions, in shard order
+    /// (`bounds` gives each shard's node range).
+    pub(crate) fn gather<M: Wire>(
         &mut self,
+        bounds: &[usize],
         honest: &mut Vec<Envelope<M>>,
         byz: &mut Vec<Envelope<M>>,
         transitions: &mut Vec<(u32, u8)>,
     ) -> Result<(), RunError> {
         for (s, chan) in self.chans.iter_mut().enumerate() {
-            match recv_msg::<_, WorkerMsg<M, O>>(chan, &mut self.scratch)
-                .map_err(lost(s, "arenas"))?
-            {
-                WorkerMsg::Arenas {
-                    honest: h,
-                    byz: b,
-                    transitions: t,
-                } => {
-                    honest.extend(h);
-                    byz.extend(b);
-                    transitions.extend(t);
-                }
-                WorkerMsg::Done { .. } => {
-                    return Err(RunError::WorkerLost {
-                        shard: s,
-                        during: "arenas",
-                        detail: "worker sent its final frame mid-run".into(),
-                    });
-                }
-            }
+            let nodes = bounds[s] as u32..bounds[s + 1] as u32;
+            let (h, b) = (honest.len(), byz.len());
+            read_frame(chan, &mut self.inbox)
+                .and_then(|()| {
+                    let mut r = Reader::new(&self.inbox);
+                    expect_tag(&mut r, ARENAS, "arenas")?;
+                    decode_arena(&mut r, nodes.clone(), honest)?;
+                    decode_arena(&mut r, nodes.clone(), byz)?;
+                    decode_ops(&mut r, nodes, transitions)?;
+                    r.finish()
+                })
+                .map_err(lost(s, "arenas"))?;
+            self.shipped[s] = [h..honest.len(), b..byz.len()];
+        }
+        // The Byzantine-default stream follows the whole honest one.
+        for [_, byz_span] in &mut self.shipped {
+            *byz_span = byz_span.start + honest.len()..byz_span.end + honest.len();
         }
         Ok(())
     }
 
     /// Batch one routed envelope for shard `dest` (see [`Shard::accept`]).
-    pub(crate) fn accept(&mut self, dest: usize, due: Option<u64>, env: Envelope<M>) {
-        match due {
-            None => self.deliveries[dest].push(env),
-            Some(due) => self.deferred[dest].push((due, env)),
+    /// `pos` is its place in the gathered stream (`None` if the adversary
+    /// wrote it): an envelope `dest` shipped itself travels back as a
+    /// reference, any other whole.
+    pub(crate) fn accept<M: Wire>(
+        &mut self,
+        dest: usize,
+        due: Option<u64>,
+        pos: Option<usize>,
+        env: &Envelope<M>,
+    ) {
+        let [honest, byz] = &self.shipped[dest];
+        let fates = &mut self.fates[dest];
+        match pos {
+            Some(p) if honest.contains(&p) => fates.own(due, p - honest.start),
+            Some(p) if byz.contains(&p) => fates.own(due, honest.len() + p - byz.start),
+            _ => fates.whole(due, env),
         }
     }
 
-    /// Close the tick: scatter the batched fates to their shards.
+    /// Close the tick: send every shard its `Fates` batch.
     pub(crate) fn close(&mut self) -> Result<(), RunError> {
         for (s, chan) in self.chans.iter_mut().enumerate() {
-            let msg = CoordMsg::Fates {
-                deliveries: std::mem::take(&mut self.deliveries[s]),
-                deferred: std::mem::take(&mut self.deferred[s]),
-            };
-            send_msg(chan, &msg).map_err(lost(s, "fates"))?;
+            self.outbox.clear();
+            self.outbox.push(FATES);
+            self.fates[s].finish(&mut self.outbox);
+            write_frame(chan, &self.outbox).map_err(lost(s, "fates"))?;
         }
         Ok(())
     }
@@ -473,40 +439,50 @@ impl<M: Wire> Remote<M> {
         bounds: &[usize],
     ) -> Result<Vec<ShardOutcome<O>>, RunError> {
         for (s, chan) in self.chans.iter_mut().enumerate() {
-            send_msg(chan, &CoordMsg::<M>::Finish).map_err(lost(s, "finish"))?;
+            write_frame(chan, &[FINISH]).map_err(lost(s, "finish"))?;
         }
         let mut outcomes = Vec::with_capacity(self.chans.len());
         for (s, chan) in self.chans.iter_mut().enumerate() {
-            let fail = |detail: String| RunError::WorkerLost {
-                shard: s,
-                during: "done",
-                detail,
-            };
-            match recv_msg::<_, WorkerMsg<M, O>>(chan, &mut self.scratch)
-                .map_err(lost(s, "done"))?
-            {
-                WorkerMsg::Done {
-                    metrics,
-                    outputs,
-                    decided,
-                } => {
-                    let expected = bounds[s + 1] - bounds[s];
-                    if outputs.len() != expected || decided.len() != expected {
-                        return Err(fail(format!(
-                            "worker reported {} outputs / {} decisions for a {expected}-node range",
-                            outputs.len(),
-                            decided.len()
-                        )));
-                    }
-                    outcomes.push((metrics, outputs, decided));
-                }
-                WorkerMsg::Arenas { .. } => {
-                    return Err(fail("worker sent arenas at finish".into()));
-                }
-            }
+            let expected = bounds[s + 1] - bounds[s];
+            let outcome = read_frame(chan, &mut self.inbox)
+                .and_then(|()| decode_done::<O>(&self.inbox, expected))
+                .map_err(lost(s, "done"))?;
+            outcomes.push(outcome);
         }
         Ok(outcomes)
     }
+}
+
+/// A worker's final frame: its delivery-side metrics, then its range's
+/// outputs and decision rounds.
+fn encode_done<O: Wire>(
+    out: &mut Vec<u8>,
+    metrics: &RunMetrics,
+    outputs: &Vec<Option<O>>,
+    decided: &Vec<Option<u64>>,
+) {
+    out.push(DONE);
+    metrics.encode(out);
+    outputs.encode(out);
+    decided.encode(out);
+}
+
+/// Decode a `Done` frame for a range of `len` nodes.
+fn decode_done<O: Wire>(bytes: &[u8], len: usize) -> Result<ShardOutcome<O>, WireError> {
+    let mut r = Reader::new(bytes);
+    expect_tag(&mut r, DONE, "done")?;
+    let metrics = RunMetrics::decode(&mut r)?;
+    let outputs: Vec<Option<O>> = Vec::decode(&mut r)?;
+    let decided: Vec<Option<u64>> = Vec::decode(&mut r)?;
+    r.finish()?;
+    if outputs.len() != len || decided.len() != len {
+        return Err(WireError::Corrupt(format!(
+            "worker reported {} outputs / {} decisions for a {len}-node range",
+            outputs.len(),
+            decided.len()
+        )));
+    }
+    Ok((metrics, outputs, decided))
 }
 
 /// Everything a process-level shard worker needs beyond its node range's
@@ -584,7 +560,10 @@ where
 }
 
 /// A worker's loop: drive `shard` from decoded coordinator frames until
-/// `Finish`, then ship the final `Done` frame.
+/// `Finish`, then ship the final `Done` frame.  A tick is `RoundBegin`
+/// (answered with `Arenas`), then `Fates`: the worker keeps the arenas it
+/// shipped until the tick's fates name the envelopes that come back to
+/// it.  A frame out of that order is corrupt.
 pub(crate) fn serve<T, P, S>(
     topology: &T,
     mut shard: Shard<P>,
@@ -597,41 +576,51 @@ where
     P::Output: Wire,
     S: Read + Write,
 {
-    let mut scratch = Vec::new();
+    let nodes = shard.start as u32..(shard.start + shard.len()) as u32;
+    let (mut inbox, mut outbox, mut churn) = (Vec::new(), Vec::new(), Vec::new());
+    let mut in_tick = false;
     loop {
-        match recv_msg::<_, CoordMsg<P::Message>>(chan, &mut scratch)? {
-            CoordMsg::RoundBegin { round, churn } => {
+        read_frame(chan, &mut inbox)?;
+        let mut r = Reader::new(&inbox);
+        outbox.clear();
+        match (u8::decode(&mut r)?, in_tick) {
+            (ROUND_BEGIN, false) => {
+                let round = r.varint()?;
+                churn.clear();
+                decode_ops(&mut r, nodes.clone(), &mut churn)?;
+                r.finish()?;
                 shard.apply_churn(&churn)?;
                 shard.open(round, topology);
-                let msg = WorkerMsg::<_, P::Output>::Arenas {
-                    honest: shard.honest.drain().collect(),
-                    byz: shard.byz.drain().collect(),
-                    transitions: std::mem::take(&mut shard.transitions),
-                };
-                send_msg(chan, &msg)?;
+                outbox.push(ARENAS);
+                encode_arena(&mut outbox, nodes.start, shard.honest.envelopes());
+                encode_arena(&mut outbox, nodes.start, shard.byz.envelopes());
+                put_ops(&mut outbox, &shard.transitions);
+                shard.transitions.clear();
+                write_frame(chan, &outbox)?;
             }
-            CoordMsg::Fates {
-                deliveries,
-                deferred,
-            } => {
-                for env in deliveries {
-                    shard.accept(None, env);
-                }
-                for (due, env) in deferred {
-                    shard.accept(Some(due), env);
-                }
+            (FATES, true) => {
+                shard.accept_fates(&mut r)?;
+                r.finish()?;
                 shard.drain();
             }
-            CoordMsg::Finish => {
+            (FINISH, false) => {
+                r.finish()?;
                 shard.finish();
-                let msg = WorkerMsg::<P::Message, _>::Done {
-                    metrics: shard.metrics,
-                    outputs: shard.outputs,
-                    decided: shard.decided_round,
-                };
-                return send_msg(chan, &msg);
+                encode_done(
+                    &mut outbox,
+                    &shard.metrics,
+                    &shard.outputs,
+                    &shard.decided_round,
+                );
+                return write_frame(chan, &outbox);
+            }
+            (tag, _) => {
+                return Err(WireError::Corrupt(format!(
+                    "coordinator frame tag {tag} out of turn"
+                )))
             }
         }
+        in_tick = !in_tick;
     }
 }
 
@@ -642,7 +631,7 @@ mod tests {
     use crate::engine::{EngineConfig, RunResult};
     use crate::fixtures::{assert_results_equal, flood_states, line_graph, Val};
     use crate::sharded::{Layout, ShardedEngine};
-    use netsim_wire::{Listener, SPEC_VERSION_ANY};
+    use netsim_wire::{decode_from_slice, duplex, encode_to_vec, Listener, SPEC_VERSION_ANY};
     use std::time::Duration;
 
     /// Max-flood over `shards` shards behind channels: pipe threads, or
@@ -673,8 +662,9 @@ mod tests {
 
     #[test]
     fn wire_round_trips_for_runtime_types() {
-        let env = Envelope::new(NodeId(7), NodeId(3), Val(0xDEAD_BEEF));
+        let env = Envelope::new(NodeId(7), NodeId(300), Val(0xDEAD_BEEF));
         let bytes = encode_to_vec(&env);
+        assert_eq!(&bytes[..3], [7, 0xAC, 0x02], "ids are varints");
         let back: Envelope<Val> = decode_from_slice(&bytes).unwrap();
         assert_eq!(back, env);
 
@@ -692,22 +682,134 @@ mod tests {
         // Truncation is a clean error for composite payloads too.
         assert!(decode_from_slice::<RunMetrics>(&bytes[..bytes.len() - 3]).is_err());
 
-        // The final worker frame round-trips with outputs and decisions.
-        let done = WorkerMsg::<Val, u64>::Done {
-            metrics: back,
-            outputs: vec![Some(9), None, Some(u64::MAX)],
-            decided: vec![Some(4), None, Some(7)],
-        };
-        let bytes = encode_to_vec(&done);
-        match decode_from_slice::<WorkerMsg<Val, u64>>(&bytes).unwrap() {
-            WorkerMsg::Done {
-                outputs, decided, ..
-            } => {
-                assert_eq!(outputs, vec![Some(9), None, Some(u64::MAX)]);
-                assert_eq!(decided, vec![Some(4), None, Some(7)]);
-            }
-            WorkerMsg::Arenas { .. } => panic!("wrong tag"),
+        // The final worker frame round-trips with outputs and decisions,
+        // and must cover the range it claims.
+        let (outputs, decided) = (
+            vec![Some(9), None, Some(u64::MAX)],
+            vec![Some(4), None, Some(7)],
+        );
+        let mut bytes = Vec::new();
+        encode_done(&mut bytes, &back, &outputs, &decided);
+        let (m, o, d) = decode_done::<u64>(&bytes, 3).unwrap();
+        assert_eq!((m, o, d), (back, outputs, decided));
+        assert!(decode_done::<u64>(&bytes, 4).is_err());
+        assert!(decode_done::<u64>(&[ARENAS, 0, 0, 0], 0).is_err());
+    }
+
+    /// Serve a four-node max-flood shard (ttl 3) over a pipe: open tick 0
+    /// and read back its `Arenas` frame, then send `fates` and `Finish`.
+    /// Returns what `serve` returned and whether the worker wrote anything
+    /// after its arenas.
+    fn serve_against(fates: &[u8]) -> (Result<(), WireError>, bool) {
+        let (mut coord, mut worker) = duplex();
+        let g = line_graph(4);
+        let session = std::thread::spawn(move || {
+            let shard = Shard::new(0, flood_states(4, 3), vec![false; 4], 1, ClockPlan::Uniform);
+            serve(&g, shard, &mut worker)
+        });
+        write_frame(&mut coord, &[ROUND_BEGIN, 0, 0]).unwrap();
+        let mut buf = Vec::new();
+        read_frame(&mut coord, &mut buf).unwrap();
+        let mut arenas = Vec::new();
+        let mut r = Reader::new(&buf);
+        expect_tag(&mut r, ARENAS, "arenas").unwrap();
+        decode_arena::<Val>(&mut r, 0..4, &mut arenas).unwrap();
+        assert_eq!(
+            arenas.len(),
+            6,
+            "a line of four floods over six directed edges"
+        );
+        // A worker that refused the batch may already have hung up.
+        let _ = write_frame(&mut coord, fates).and_then(|()| write_frame(&mut coord, &[FINISH]));
+        let served = session.join().expect("serve must not panic");
+        let more = !matches!(netsim_wire::read_frame_opt(&mut coord, &mut buf), Ok(false));
+        (served, more)
+    }
+
+    /// A `Fates` frame: the tag, the item count, then the raw items.
+    fn fates_frame(items: &[u64]) -> Vec<u8> {
+        let mut frame = vec![FATES];
+        put_varint(&mut frame, items.len() as u64);
+        for &header in items {
+            put_varint(&mut frame, header);
         }
+        frame
+    }
+
+    #[test]
+    fn hostile_fates_end_the_session_as_corrupt() {
+        // Reference headers: the zigzag-coded step from the previous index
+        // (from -1), shifted past the two flag bits.
+        let step = |s: i64| ((s << 1) ^ (s >> 63)) as u64 * 4;
+        let good = fates_frame(&[step(1), step(2), step(3)]);
+        assert!(
+            matches!(serve_against(&good), (Ok(()), true)),
+            "a valid batch"
+        );
+        for (label, frame) in [
+            ("out of range", fates_frame(&[step(7)])),
+            ("repeat", fates_frame(&[step(2), step(0)])),
+            ("backwards", fates_frame(&[step(3), step(-1)])),
+            ("non-minimal varint", {
+                let mut frame = fates_frame(&[]);
+                frame[1] = 1;
+                frame.extend_from_slice(&[0x84, 0x00]); // step(1), padded
+                frame
+            }),
+            ("trailing bytes", {
+                let mut frame = fates_frame(&[step(1)]);
+                frame.push(0);
+                frame
+            }),
+        ] {
+            let (served, more) = serve_against(&frame);
+            assert!(
+                matches!(served, Err(WireError::Corrupt(_))),
+                "{label}: {served:?}"
+            );
+            assert!(!more, "{label}: the worker must not answer a corrupt batch");
+        }
+    }
+
+    #[test]
+    fn frames_out_of_turn_end_the_session_as_corrupt() {
+        // `Finish` and a second `RoundBegin` while a tick's fates are due.
+        for frame in [vec![FINISH], vec![ROUND_BEGIN, 1, 0]] {
+            let (served, more) = serve_against(&frame);
+            assert!(matches!(served, Err(WireError::Corrupt(_))), "{served:?}");
+            assert!(!more);
+        }
+    }
+
+    #[test]
+    fn a_non_minimal_varint_in_arenas_loses_the_worker() {
+        // The worker answers the first round with an empty honest arena
+        // whose count is padded to two bytes.
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let liar = std::thread::spawn(move || {
+            let mut stream = listener.accept().unwrap().expect("blocking accept");
+            stream
+                .exchange_hello(&WireHello::current(SPEC_VERSION_ANY), HELLO_DEADLINE)
+                .unwrap();
+            let mut scratch = Vec::new();
+            read_frame(&mut stream, &mut scratch).unwrap();
+            write_frame(&mut stream, &[ARENAS, 0x80, 0x00, 0, 0]).unwrap();
+            // The coordinator hangs up without reading further.
+            let _ = netsim_wire::read_frame_opt(&mut stream, &mut scratch);
+        });
+        let err = flood(8, 20, 1, 1, vec![addr]).expect_err("a lying worker must fail the run");
+        match &err {
+            RunError::WorkerLost {
+                shard: 0,
+                during: "arenas",
+                detail,
+            } => {
+                assert!(detail.contains("non-minimal"), "{detail}")
+            }
+            other => panic!("expected WorkerLost during arenas, got {other}"),
+        }
+        liar.join().unwrap();
     }
 
     /// A process-worker stand-in: accept `sessions` coordinator sessions,
@@ -802,13 +904,9 @@ mod tests {
                 "assignment must ride the hello"
             );
             let mut scratch = Vec::new();
-            let _round: CoordMsg<Val> = recv_msg(&mut stream, &mut scratch).unwrap();
-            let arenas = WorkerMsg::<Val, u64>::Arenas {
-                honest: Vec::new(),
-                byz: Vec::new(),
-                transitions: Vec::new(),
-            };
-            send_msg(&mut stream, &arenas).unwrap();
+            read_frame(&mut stream, &mut scratch).unwrap();
+            // Empty arenas, no transitions.
+            write_frame(&mut stream, &[ARENAS, 0, 0, 0]).unwrap();
             // Drop the stream: the coordinator's next read sees EOF.
         });
         let err = flood(8, 20, 1, 1, vec![addr]).expect_err("a dead worker must fail the run");

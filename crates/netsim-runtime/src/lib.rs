@@ -41,6 +41,7 @@
 //! O(events) instead of O(ticks) — with byte-identical results.
 
 pub mod adversary;
+pub mod batch;
 pub mod clock;
 pub mod distributed;
 pub mod engine;

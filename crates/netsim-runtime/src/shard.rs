@@ -15,8 +15,12 @@
 //! the arenas and apply their actions), then any number of
 //! [`accept`](Shard::accept)s as the router hands over this range's
 //! deliveries and deferrals, then [`drain`](Shard::drain) (complete the
-//! deferred deliveries due this tick).
+//! deferred deliveries due this tick).  Behind a channel the arenas stay
+//! in the shard after they are shipped, and the router's verdicts arrive
+//! as one `Fates` batch ([`accept_fates`](Shard::accept_fates)) that names
+//! the shard's own envelopes by index.
 
+use crate::batch::{decode_fates, Fate};
 use crate::clock::{CalendarQueue, ClockPlan, EventClass};
 use crate::engine::splitmix;
 use crate::message::{Envelope, MessageSize};
@@ -24,7 +28,7 @@ use crate::metrics::RunMetrics;
 use crate::node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
 use crate::topology::Topology;
 use netsim_graph::NodeId;
-use netsim_wire::WireError;
+use netsim_wire::{Reader, Wire, WireError};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -273,6 +277,51 @@ impl<P: Protocol> Shard<P> {
                     .push(self.tick, due, EventClass::Deliver, to, Some(env));
             }
         }
+    }
+
+    /// Take this tick's `Fates` batch off the wire (see
+    /// [`decode_fates`]) and [`accept`](Self::accept) each item in order.
+    /// A reference moves out the envelope this shard shipped at that index
+    /// of its honest arena followed by its Byzantine-default arena; the
+    /// shipped envelopes no item names (dropped by validation or lost to
+    /// the fault plan) are discarded.  An item addressed outside this
+    /// shard is corrupt.
+    pub(crate) fn accept_fates(&mut self, r: &mut Reader<'_>) -> Result<(), WireError>
+    where
+        P::Message: Wire,
+    {
+        let (mut honest, mut byz) = (
+            std::mem::take(&mut self.honest),
+            std::mem::take(&mut self.byz),
+        );
+        let shipped = honest.envelopes().len() + byz.envelopes().len();
+        let mut own = honest.drain().chain(byz.drain());
+        let mut next = 0;
+        let (tick, range) = (self.tick, self.start..self.start + self.len());
+        let accepted = decode_fates(r, tick, shipped, |due, fate| {
+            let env = match fate {
+                // References only move forward, so `own` is a cursor.
+                Fate::Own(i) => {
+                    let env = own
+                        .nth(i - next)
+                        .expect("decode_fates bounds every reference");
+                    next = i + 1;
+                    env
+                }
+                Fate::Whole(env) => env,
+            };
+            if !range.contains(&env.to.index()) {
+                return Err(WireError::Corrupt(format!(
+                    "fate for node {} outside this shard",
+                    env.to.0
+                )));
+            }
+            self.accept(due, env);
+            Ok(())
+        });
+        drop(own);
+        (self.honest, self.byz) = (honest, byz);
+        accepted
     }
 
     /// Complete the deferred deliveries due this tick.  An envelope whose

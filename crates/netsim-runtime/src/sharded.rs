@@ -302,7 +302,7 @@ pub enum Layout {
 /// Where a run's shards are: values the engine calls, or channels.
 enum Links<P: Protocol> {
     Local(Vec<Shard<P>>),
-    Remote(Remote<P::Message>),
+    Remote(Remote),
 }
 
 /// The sharded engine; see the module documentation.
@@ -555,7 +555,8 @@ where
             }
             Links::Remote(remote) => {
                 remote.open(tick, &mut self.churn)?;
-                remote.gather::<P::Output>(
+                remote.gather(
+                    &self.bounds,
                     &mut self.honest_arena,
                     &mut self.byz_default,
                     &mut self.transitions,
@@ -595,22 +596,24 @@ where
 
         // Honest stream first, then the Byzantine path: the reference
         // engine's order, which the fault plan's RNG stream depends on.
+        // Positions count through both gathered arenas.
         let mut honest = std::mem::take(&mut self.honest_arena);
-        for env in honest.drain(..) {
-            self.route(tick, env, false);
+        let gathered = honest.len();
+        for (pos, env) in honest.drain(..).enumerate() {
+            self.route(tick, env, Some(pos));
         }
         self.honest_arena = honest;
         match decision {
             AdversaryDecision::FollowProtocol => {
                 let mut byz = std::mem::take(&mut self.byz_default);
-                for env in byz.drain(..) {
-                    self.route(tick, env, false);
+                for (pos, env) in (gathered..).zip(byz.drain(..)) {
+                    self.route(tick, env, Some(pos));
                 }
                 self.byz_default = byz;
             }
             AdversaryDecision::Replace(msgs) => {
                 for env in msgs {
-                    self.route(tick, env, true);
+                    self.route(tick, env, None);
                 }
             }
         }
@@ -707,14 +710,16 @@ where
 
     /// Validate, account and route one envelope queued at `tick` into its
     /// destination shard (the validation rules are shared with
-    /// [`SyncEngine`] via [`envelope_admissible`]).
-    fn route(&mut self, tick: u64, env: Envelope<P::Message>, authored_by_adversary: bool) {
+    /// [`SyncEngine`] via [`envelope_admissible`]).  `pos` is the
+    /// envelope's place in the tick's gathered arenas, honest then
+    /// Byzantine-default; `None` marks one the adversary wrote.
+    fn route(&mut self, tick: u64, env: Envelope<P::Message>, pos: Option<usize>) {
         if !envelope_admissible(
             self.topology,
             &self.statuses,
             &self.byzantine,
             &env,
-            authored_by_adversary,
+            pos.is_none(),
         ) {
             self.metrics.record_drop();
             return;
@@ -745,7 +750,7 @@ where
         };
         match &mut self.links {
             Links::Local(shards) => shards[dest].accept(due, env),
-            Links::Remote(remote) => remote.accept(dest, due, env),
+            Links::Remote(remote) => remote.accept(dest, due, pos, &env),
         }
     }
 

@@ -2,7 +2,14 @@
 //!
 //! Encoding rules, in full:
 //!
-//! * integers are **little-endian**, fixed width;
+//! * fixed-width integers are **little-endian**;
+//! * a **varint** is a minimal unsigned LEB128 number ([`put_varint`],
+//!   [`Reader::varint`]): seven bits per byte, low group first, the high
+//!   bit set on every byte but the last.  Node ids, sequence lengths and
+//!   message fields that are small in practice travel as varints (the
+//!   per-tick batches of `netsim-runtime`'s distributed engine and the
+//!   counting protocol's messages); the hello, the shard assignment and
+//!   every `Wire` impl in this module stay fixed-width;
 //! * `bool` is one byte, `0` or `1` (anything else is corrupt);
 //! * `f64` is its IEEE-754 bit pattern as a little-endian `u64`;
 //! * `String` and `Vec<T>` are a `u32` element count followed by the
@@ -10,9 +17,14 @@
 //! * `Option<T>` is a presence byte (`0`/`1`) followed by the value;
 //! * enums are a `u8` tag followed by the variant's fields, in order.
 //!
+//! Every value has exactly one encoding.  A varint decoder refuses a
+//! non-minimal encoding (a trailing `0x00` group, as in `80 00` for 0) and
+//! a value too wide for its field, so decode ∘ encode is the identity
+//! *and* every accepted byte string re-encodes to itself.
+//!
 //! There is no self-description and no padding: both peers must agree on
-//! the schema (the handshake's `spec_version` pins that agreement).
-//! Decoding is total — every malformed input is a clean
+//! the schema (the handshake's major version and `spec_version` pin that
+//! agreement).  Decoding is total — every malformed input is a clean
 //! [`WireError::Corrupt`], never a panic and never an unbounded
 //! allocation (sequence counts are capped at [`MAX_SEQ_LEN`] and checked
 //! against the bytes actually present before any buffer is reserved).
@@ -38,11 +50,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Consume exactly `n` bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Corrupt(format!(
@@ -79,6 +93,73 @@ impl<'a> Reader<'a> {
         }
         Ok(len as usize)
     }
+
+    /// Read one minimal LEB128 varint (see [`put_varint`]).  A
+    /// non-minimal encoding, or one wider than 64 bits, is corrupt.
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, WireError> {
+        let mut value = 0u64;
+        let mut shift = 0;
+        loop {
+            let Some(&byte) = self.buf.get(self.pos) else {
+                return Err(WireError::Corrupt(
+                    "truncated payload: varint cut short".into(),
+                ));
+            };
+            self.pos += 1;
+            let group = u64::from(byte & 0x7F);
+            if shift == 63 && group > 1 {
+                return Err(WireError::Corrupt("varint overflows 64 bits".into()));
+            }
+            value |= group << shift;
+            if byte < 0x80 {
+                if byte == 0 && shift > 0 {
+                    return Err(WireError::Corrupt(format!(
+                        "non-minimal varint ({} bytes for {value})",
+                        shift / 7 + 1
+                    )));
+                }
+                return Ok(value);
+            }
+            shift += 7;
+            if shift > 63 {
+                return Err(WireError::Corrupt("varint longer than 10 bytes".into()));
+            }
+        }
+    }
+
+    /// A varint that must fit a `u32` field.
+    #[inline]
+    pub fn varint_u32(&mut self) -> Result<u32, WireError> {
+        let value = self.varint()?;
+        u32::try_from(value)
+            .map_err(|_| WireError::Corrupt(format!("varint {value} overflows a u32 field")))
+    }
+
+    /// A varint sequence-length prefix, capped like [`seq_len`](Self::seq_len).
+    /// Every element a varint-counted sequence holds takes at least one
+    /// byte, so a count beyond the bytes left is corrupt up front.
+    pub fn varint_len(&mut self) -> Result<usize, WireError> {
+        let len = self.varint()?;
+        if len > u64::from(MAX_SEQ_LEN) || len > self.remaining() as u64 {
+            return Err(WireError::Corrupt(format!(
+                "sequence length {len} exceeds the {MAX_SEQ_LEN} cap or the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(len as usize)
+    }
+}
+
+/// Append `value` as a minimal unsigned LEB128 varint: one byte below
+/// 128, two below 16384, at most ten.
+#[inline]
+pub fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
 }
 
 /// A type with a canonical binary encoding.
@@ -111,9 +192,11 @@ pub fn decode_from_slice<T: Wire>(buf: &[u8]) -> Result<T, WireError> {
 macro_rules! int_wire {
     ($($t:ty),*) => {$(
         impl Wire for $t {
+            #[inline]
             fn encode(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
+            #[inline]
             fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 let bytes = r.take(std::mem::size_of::<$t>())?;
                 Ok(<$t>::from_le_bytes(bytes.try_into().expect("size checked")))
@@ -271,6 +354,71 @@ mod tests {
             decode_from_slice::<Vec<u64>>(&bytes),
             Err(WireError::Corrupt(_))
         ));
+    }
+
+    fn varint_bytes(value: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, value);
+        out
+    }
+
+    fn read_varint(bytes: &[u8]) -> Result<u64, WireError> {
+        let mut r = Reader::new(bytes);
+        let value = r.varint()?;
+        r.finish()?;
+        Ok(value)
+    }
+
+    #[test]
+    fn varints_are_minimal_leb128_and_round_trip() {
+        assert_eq!(varint_bytes(0), [0x00]);
+        assert_eq!(varint_bytes(127), [0x7F]);
+        assert_eq!(varint_bytes(128), [0x80, 0x01]);
+        assert_eq!(varint_bytes(300), [0xAC, 0x02]);
+        assert_eq!(varint_bytes(u64::MAX).len(), 10);
+        for value in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u32::MAX as u64,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            assert_eq!(read_varint(&varint_bytes(value)).unwrap(), value);
+        }
+    }
+
+    #[test]
+    fn non_minimal_overlong_and_overflowing_varints_are_corrupt() {
+        for bad in [
+            &[0x80, 0x00][..],                                             // 0 in two bytes
+            &[0xFF, 0x00],                                                 // 127 in two bytes
+            &[0x80, 0x80, 0x00],                                           // 0 in three bytes
+            &[0x80],                                                       // cut short
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02], // 2^64
+            &[
+                0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x81, 0x00,
+            ], // 11 bytes
+        ] {
+            assert!(
+                matches!(read_varint(bad), Err(WireError::Corrupt(_))),
+                "{bad:02x?} must be corrupt"
+            );
+        }
+        // A u32 field refuses a wider value; a length refuses the cap and
+        // any count the bytes left cannot hold.
+        let mut r = Reader::new(&[0x80, 0x80, 0x80, 0x80, 0x10]);
+        assert!(r.varint_u32().is_err());
+        let mut r = Reader::new(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
+        assert_eq!(r.varint_u32().unwrap(), u32::MAX);
+        let over_cap = varint_bytes(u64::from(MAX_SEQ_LEN) + 1);
+        assert!(Reader::new(&over_cap).varint_len().is_err());
+        assert!(Reader::new(&[0x03, 0x01, 0x02]).varint_len().is_err());
+        let mut r = Reader::new(&[0x02, 0x01, 0x02]);
+        assert_eq!(r.varint_len().unwrap(), 2);
     }
 
     #[test]

@@ -31,7 +31,15 @@ use std::io::{Read, Write};
 /// First bytes of every hello: protocol magic + format generation.
 pub const WIRE_MAGIC: [u8; 4] = *b"NSW1";
 /// Wire-format major version; peers must match exactly.
-pub const WIRE_MAJOR: u16 = 1;
+///
+/// Major 2 moved the distributed engine's per-tick frames to the compact
+/// canonical encoding: minimal LEB128 varints for node ids, lengths and
+/// message fields, delta-coded senders inside an arena, and `Fates` items
+/// that name a worker's own envelopes by reference instead of shipping
+/// them back.  The hello and [`ShardAssignment`] kept their fixed-width
+/// layout, so a major-1 peer's hello still decodes and is refused with
+/// [`WireError::Incompatible`] rather than misread mid-stream.
+pub const WIRE_MAJOR: u16 = 2;
 /// Wire-format minor version; additive changes only.  Minor 1 added the
 /// optional trailing [`ShardAssignment`] to the hello (a minor-0 hello
 /// is byte-identical to a minor-1 hello carrying no assignment).
@@ -241,6 +249,25 @@ mod tests {
             ..ours.clone()
         };
         assert!(future_minor.check_compatible(&ours).is_ok());
+    }
+
+    #[test]
+    fn a_major_1_hello_still_decodes_and_is_refused() {
+        // The hello's layout is the same in both majors, so an older peer
+        // is read and then refused by version, never misparsed.
+        let mut major1 = Vec::new();
+        major1.extend_from_slice(&WIRE_MAGIC);
+        1u16.encode(&mut major1);
+        1u16.encode(&mut major1);
+        6u32.encode(&mut major1);
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &major1).unwrap();
+        let theirs = recv_hello(&mut &stream[..]).unwrap();
+        assert_eq!(theirs.major, 1);
+        assert!(matches!(
+            theirs.check_compatible(&WireHello::current(6)),
+            Err(WireError::Incompatible(_))
+        ));
     }
 
     #[test]

@@ -23,10 +23,12 @@
 //!   `[u32 LE length][u32 LE FNV-1a checksum][payload]` — so torn or
 //!   corrupted frames are detected before a single payload byte is
 //!   interpreted.
-//! * [`codec`] is a deliberately small, explicit binary encoding: every
-//!   integer little-endian, every sequence `u32`-length-prefixed, no
-//!   self-description.  Both sides must agree on the schema, which is
-//!   what the handshake's `spec_version` pins.
+//! * [`codec`] is a deliberately small, explicit binary encoding: fixed
+//!   little-endian integers and `u32`-length-prefixed sequences, plus
+//!   minimal LEB128 varints for the fields that are small in practice,
+//!   no self-description.  Every value has exactly one encoding.  Both
+//!   sides must agree on the schema, which is what the handshake's major
+//!   version and `spec_version` pin.
 //! * [`handshake`] carries `(major, minor, spec_version)`: major strict,
 //!   minor additive, and a peer speaking a *newer* payload schema is
 //!   rejected up front instead of failing mid-stream with a parse error.
@@ -52,7 +54,7 @@ pub mod handshake;
 pub mod net;
 pub mod pipe;
 
-pub use codec::{decode_from_slice, encode_to_vec, Reader, Wire, MAX_SEQ_LEN};
+pub use codec::{decode_from_slice, encode_to_vec, put_varint, Reader, Wire, MAX_SEQ_LEN};
 pub use frame::{checksum32, read_frame, read_frame_opt, write_frame, MAX_FRAME_BYTES};
 pub use handshake::{
     check_spec_version, recv_hello, send_hello, ShardAssignment, WireHello, SPEC_VERSION_ANY,

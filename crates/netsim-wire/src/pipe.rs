@@ -80,11 +80,8 @@ impl Read for PipeEnd {
             }
             state = self.incoming.readable.wait(state).expect("pipe lock");
         }
-        let n = buf.len().min(state.buf.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = state.buf.pop_front().expect("length checked");
-        }
-        Ok(n)
+        // `VecDeque<u8>`'s own `Read` copies its front slice in one go.
+        state.buf.read(buf)
     }
 }
 
@@ -97,9 +94,9 @@ impl Write for PipeEnd {
                 "peer end of the pipe has dropped",
             ));
         }
-        state.buf.extend(buf.iter().copied());
+        let n = state.buf.write(buf)?;
         self.outgoing.readable.notify_all();
-        Ok(buf.len())
+        Ok(n)
     }
 
     fn flush(&mut self) -> io::Result<()> {

@@ -1075,3 +1075,161 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Per-tick batch fuzz: the compact encoding the distributed engine's shard
+// channels use for arenas (delta-coded senders) and fates (references into
+// the receiving shard's own arenas, or whole envelopes).  Round trips are
+// the identity, the encoding is canonical, and truncated or bit-flipped
+// batches decode to clean errors or to batches that re-encode to the very
+// same bytes.
+// ---------------------------------------------------------------------------
+
+use byzcount::runtime::batch::{decode_arena, decode_fates, encode_arena, Fate, FatesWriter};
+
+/// The node range of the fuzzed shard.
+const BATCH_SENDERS: std::ops::Range<u32> = 200..1_300;
+/// The tick the fuzzed fates belong to.
+const BATCH_TICK: u64 = 40;
+
+/// An arena in node order: each word steps the sender forward by 0–3
+/// nodes inside [`BATCH_SENDERS`] and picks a recipient and a message.
+fn arena_from(words: &[u64]) -> Vec<Envelope<CountingMessage>> {
+    let mut from = BATCH_SENDERS.start;
+    words
+        .iter()
+        .map(|&w| {
+            from = (from + (w % 4) as u32).min(BATCH_SENDERS.end - 1);
+            let to = WireNodeId(((w >> 8) % 70_000) as u32);
+            Envelope::new(
+                WireNodeId(from),
+                to,
+                counting_message_from((w >> 32) as u8, w),
+            )
+        })
+        .collect()
+}
+
+/// Fates over an arena of `shipped` envelopes: each word is a reference
+/// (stepping forward 1–4 while the index stays below `shipped`) or a
+/// whole envelope, due now or 1–5 ticks later.
+fn fates_from(words: &[u64], shipped: usize) -> Vec<(Option<u64>, Fate<CountingMessage>)> {
+    let mut next = 0;
+    words
+        .iter()
+        .map(|&w| {
+            let due = (w & 1 == 1).then(|| BATCH_TICK + 1 + (w >> 1) % 5);
+            let step = ((w >> 4) % 4) as usize;
+            let fate = if w & 2 == 0 && next + step < shipped {
+                next += step + 1;
+                Fate::Own(next - 1)
+            } else {
+                Fate::Whole(Envelope::new(
+                    WireNodeId((w >> 12) as u32 % 5_000),
+                    WireNodeId((w >> 24) as u32 % 5_000),
+                    counting_message_from((w >> 40) as u8, w),
+                ))
+            };
+            (due, fate)
+        })
+        .collect()
+}
+
+fn encode_arena_bytes(arena: &[Envelope<CountingMessage>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_arena(&mut out, BATCH_SENDERS.start, arena);
+    out
+}
+
+fn decode_arena_bytes(bytes: &[u8]) -> Result<Vec<Envelope<CountingMessage>>, wire::WireError> {
+    let mut r = wire::Reader::new(bytes);
+    let mut arena = Vec::new();
+    decode_arena(&mut r, BATCH_SENDERS, &mut arena)?;
+    r.finish()?;
+    Ok(arena)
+}
+
+fn encode_fates_bytes(items: &[(Option<u64>, Fate<CountingMessage>)]) -> Vec<u8> {
+    let mut writer = FatesWriter::default();
+    writer.begin(BATCH_TICK);
+    for (due, fate) in items {
+        match fate {
+            Fate::Own(i) => writer.own(*due, *i),
+            Fate::Whole(env) => writer.whole(*due, env),
+        }
+    }
+    let mut out = Vec::new();
+    writer.finish(&mut out);
+    out
+}
+
+type FuzzFates = Vec<(Option<u64>, Fate<CountingMessage>)>;
+
+fn decode_fates_bytes(bytes: &[u8], shipped: usize) -> Result<FuzzFates, wire::WireError> {
+    let mut r = wire::Reader::new(bytes);
+    let mut items = Vec::new();
+    decode_fates(&mut r, BATCH_TICK, shipped, |due, fate| {
+        items.push((due, fate));
+        Ok(())
+    })?;
+    r.finish()?;
+    Ok(items)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Arenas and fates survive their encodings unchanged, and decoding
+    /// then re-encoding gives back the same bytes.
+    #[test]
+    fn arenas_and_fates_round_trip_canonically(
+        arena_words in proptest::collection::vec(any::<u64>(), 0..64),
+        fate_words in proptest::collection::vec(any::<u64>(), 0..64),
+    ) {
+        let arena = arena_from(&arena_words);
+        let bytes = encode_arena_bytes(&arena);
+        let back = decode_arena_bytes(&bytes).expect("arena round trip");
+        prop_assert_eq!(&back, &arena);
+        prop_assert_eq!(encode_arena_bytes(&back), bytes, "arena encoding is canonical");
+
+        let items = fates_from(&fate_words, arena.len());
+        let bytes = encode_fates_bytes(&items);
+        let back = decode_fates_bytes(&bytes, arena.len()).expect("fates round trip");
+        prop_assert_eq!(&back, &items);
+        prop_assert_eq!(encode_fates_bytes(&back), bytes, "fates encoding is canonical");
+    }
+
+    /// Truncated batches are errors; a bit-flipped batch is an error or
+    /// another valid batch that re-encodes to the flipped bytes.  Neither
+    /// ever panics.
+    #[test]
+    fn mutated_batches_fail_cleanly_or_stay_canonical(
+        words in proptest::collection::vec(any::<u64>(), 1..32),
+        cut_milli in any::<u64>(),
+        flip_at in any::<u64>(),
+    ) {
+        let arena = arena_from(&words);
+        let arena_bytes = encode_arena_bytes(&arena);
+        let fates_bytes = encode_fates_bytes(&fates_from(&words, arena.len()));
+        let cut = |len: usize| (len as u64 * (cut_milli % 1000) / 1000) as usize;
+        let flip = |bytes: &[u8]| {
+            let mut flipped = bytes.to_vec();
+            let bit = (flip_at % (bytes.len() as u64 * 8)) as usize;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            flipped
+        };
+
+        prop_assert!(decode_arena_bytes(&arena_bytes[..cut(arena_bytes.len())]).is_err());
+        let flipped = flip(&arena_bytes);
+        if let Ok(decoded) = decode_arena_bytes(&flipped) {
+            prop_assert_eq!(encode_arena_bytes(&decoded), flipped);
+        }
+
+        let shipped = arena.len();
+        prop_assert!(decode_fates_bytes(&fates_bytes[..cut(fates_bytes.len())], shipped).is_err());
+        let flipped = flip(&fates_bytes);
+        if let Ok(decoded) = decode_fates_bytes(&flipped, shipped) {
+            prop_assert_eq!(encode_fates_bytes(&decoded), flipped);
+        }
+    }
+}
