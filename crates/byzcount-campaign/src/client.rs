@@ -29,7 +29,10 @@ pub struct Client {
 
 impl Client {
     /// Dial `addr` (`unix:<path>` or `<host>:<port>`) and complete the
-    /// handshake.
+    /// handshake.  A server already serving
+    /// [`MAX_CONNECTIONS`](crate::protocol::MAX_CONNECTIONS) connections
+    /// answers an error in place of its hello, returned here as
+    /// [`CampaignError::Protocol`].
     pub fn connect(addr: &str) -> Result<Self, CampaignError> {
         let stream = IoStream::connect(addr)?;
         let mut writer = stream.try_clone()?;
@@ -39,6 +42,12 @@ impl Client {
             return Err(CampaignError::Protocol(
                 "server closed before the hello".into(),
             ));
+        }
+        // A server at its connection cap answers an error, not a hello.
+        if let Ok(Response::Error { code, message }) = decode_line::<Response>(&line) {
+            return Err(CampaignError::Protocol(format!(
+                "server [{code}]: {message}"
+            )));
         }
         let server_hello = decode_hello(&line)?;
         server_hello.check_compatible()?;

@@ -49,6 +49,12 @@ pub const MAX_PAGE: u32 = 4096;
 /// other frame caps (`netsim_wire::MAX_FRAME_BYTES`,
 /// [`MAX_RECORD_BYTES`](crate::wal::MAX_RECORD_BYTES)).
 pub const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
+/// Most connections the server serves at once.  Each connection gets its
+/// own handler thread, so without a cap a peer that kept opening
+/// connections would exhaust the server's threads.  A connection past the
+/// cap is answered one `protocol` error naming it, in place of the hello,
+/// and closed; the connections already open are served as before.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// The handshake frame body (sent by both peers, server first).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]

@@ -9,11 +9,12 @@
 //!   [`run_campaign_telemetry`], one job at a time, appending every
 //!   finished cell to the job's WAL and feeding the live [`Telemetry`]
 //!   served by the `stats` verb;
-//! * one **connection handler** per client — hello handshake first
-//!   (server speaks first), then a request/response loop.  Protocol
-//!   errors are answered in-band; only a hello major mismatch, a line
-//!   past [`MAX_LINE_BYTES`] (answered first) or EOF closes the
-//!   connection.
+//! * one **connection handler** per client, up to [`MAX_CONNECTIONS`]
+//!   at once (a connection past the cap is answered one `protocol` error
+//!   in place of the hello, and closed) — hello handshake first (server
+//!   speaks first), then a request/response loop.  Protocol errors are
+//!   answered in-band; only a hello major mismatch, a line past
+//!   [`MAX_LINE_BYTES`] (answered first) or EOF closes the connection.
 //!
 //! Shutdown is graceful: the stop flag lets in-flight cells finish,
 //! their results are persisted and checkpointed, and the next start
@@ -23,7 +24,7 @@ use crate::error::CampaignError;
 use crate::net::{IoStream, Listener};
 use crate::protocol::{
     decode_hello, decode_line, encode_hello, encode_line, Hello, JobStatus, JobTelemetry, Request,
-    Response, ServerStats, MAX_LINE_BYTES, MAX_PAGE,
+    Response, ServerStats, MAX_CONNECTIONS, MAX_LINE_BYTES, MAX_PAGE,
 };
 use crate::scheduler::{run_campaign_telemetry, RunOutcome, RunnerConfig};
 use crate::spec::CampaignSpec;
@@ -329,7 +330,9 @@ fn scheduler_loop(shared: &Arc<Shared>) {
 fn accept_loop(shared: &Arc<Shared>, listener: &Listener) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     while !shared.shutdown.load(Ordering::SeqCst) {
+        connections.retain(|c| !c.is_finished());
         match listener.accept() {
+            Ok(Some(stream)) if connections.len() >= MAX_CONNECTIONS => refuse(stream),
             Ok(Some(stream)) => {
                 let shared = Arc::clone(shared);
                 connections.push(std::thread::spawn(move || {
@@ -339,11 +342,21 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener) {
             Ok(None) => std::thread::sleep(Duration::from_millis(20)),
             Err(_) => break,
         }
-        connections.retain(|c| !c.is_finished());
     }
     for c in connections {
         let _ = c.join();
     }
+}
+
+/// Answer a connection past [`MAX_CONNECTIONS`] with one `protocol` error
+/// naming the cap, in place of the hello, and close it.  The line fits in
+/// a fresh socket's send buffer, so the accept loop never blocks on it.
+fn refuse(mut stream: IoStream) {
+    let err = CampaignError::Protocol(format!(
+        "the server is at its cap of {MAX_CONNECTIONS} connections"
+    ));
+    let _ = stream.write_all(encode_line(&Response::from_error(&err)).as_bytes());
+    let _ = stream.flush();
 }
 
 /// `read_line` capped at [`MAX_LINE_BYTES`] that keeps polling through

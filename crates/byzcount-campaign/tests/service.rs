@@ -384,3 +384,47 @@ fn an_over_long_request_line_is_answered_then_closed_and_the_server_keeps_servin
     server.shutdown();
     let _ = std::fs::remove_dir_all(&store);
 }
+
+#[test]
+fn connections_past_the_cap_are_refused_and_served_again_once_one_closes() {
+    use byzcount_campaign::protocol::MAX_CONNECTIONS;
+
+    let store = tmp_store("connection-cap");
+    let server = CampaignServer::spawn("127.0.0.1:0", config(&store)).unwrap();
+    // `connect` returns once the server's hello arrives, so each of these
+    // has its own handler thread before the next one dials.
+    let mut held: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|i| Client::connect(server.addr()).unwrap_or_else(|e| panic!("connection {i}: {e}")))
+        .collect();
+
+    let refused = Client::connect(server.addr())
+        .err()
+        .expect("a connection past the cap is refused");
+    assert!(
+        refused.to_string().contains(&MAX_CONNECTIONS.to_string()),
+        "the refusal must name the cap: {refused}"
+    );
+    let stats = held[0]
+        .stats()
+        .expect("the held connections are still served");
+    assert_eq!(stats.running_jobs, 0);
+
+    // Closing one frees a slot once the accept loop reaps its finished
+    // handler, on its next pass.
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut client = loop {
+        match Client::connect(server.addr()) {
+            Ok(client) => break client,
+            Err(e) => {
+                assert!(Instant::now() < deadline, "no slot came free: {e}");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+    };
+    client.stats().expect("the new connection is served");
+
+    drop(held);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}
