@@ -32,11 +32,9 @@ use crate::{
     run_exponential_support, run_flood_diameter, run_geometric_support, run_spanning_tree_count,
     spanning_tree_nodes,
 };
-use byzcount_core::sim::{
-    AttackSpec, Estimand, Estimator, ShardServeConfig, SimContext, SimError, WorkloadRun,
-};
+use byzcount_core::sim::{AttackSpec, Estimand, Estimator, SimContext, SimError, WorkloadRun};
 use netsim_graph::log2n;
-use netsim_runtime::wire::IoStream;
+use netsim_runtime::wire::{IoStream, ShardAssignment};
 use netsim_runtime::RunResult;
 
 /// Map the spec-layer attack to the baseline crate's enum.
@@ -116,13 +114,12 @@ impl Estimator for GeometricSupportWorkload {
     fn serve_shard(
         &self,
         ctx: &SimContext<'_>,
-        cfg: &ShardServeConfig,
-        end: usize,
+        a: &ShardAssignment,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
         let attack = attack_from_spec(self.attack);
-        let nodes = geometric_support_nodes(ctx.byzantine, attack, self.ttl(ctx), cfg.start..end);
-        ctx.serve_nodes(cfg, nodes, chan)
+        let nodes = geometric_support_nodes(ctx.byzantine, attack, self.ttl(ctx), a.range());
+        ctx.serve_nodes(a, nodes, chan)
     }
 }
 
@@ -166,13 +163,12 @@ impl Estimator for ExponentialSupportWorkload {
     fn serve_shard(
         &self,
         ctx: &SimContext<'_>,
-        cfg: &ShardServeConfig,
-        end: usize,
+        a: &ShardAssignment,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
         let attack = attack_from_spec(self.attack);
-        let nodes = exponential_support_nodes(ctx.byzantine, attack, self.ttl(ctx), cfg.start..end);
-        ctx.serve_nodes(cfg, nodes, chan)
+        let nodes = exponential_support_nodes(ctx.byzantine, attack, self.ttl(ctx), a.range());
+        ctx.serve_nodes(a, nodes, chan)
     }
 }
 
@@ -216,13 +212,12 @@ impl Estimator for SpanningTreeWorkload {
     fn serve_shard(
         &self,
         ctx: &SimContext<'_>,
-        cfg: &ShardServeConfig,
-        end: usize,
+        a: &ShardAssignment,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
         let attack = attack_from_spec(self.attack);
-        let nodes = spanning_tree_nodes(ctx.byzantine, attack, cfg.start..end);
-        ctx.serve_nodes(cfg, nodes, chan)
+        let nodes = spanning_tree_nodes(ctx.byzantine, attack, a.range());
+        ctx.serve_nodes(a, nodes, chan)
     }
 }
 
@@ -267,13 +262,12 @@ impl Estimator for FloodDiameterWorkload {
     fn serve_shard(
         &self,
         ctx: &SimContext<'_>,
-        cfg: &ShardServeConfig,
-        end: usize,
+        a: &ShardAssignment,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
         let attack = attack_from_spec(self.attack);
-        let nodes = flood_diameter_nodes(ctx.byzantine, attack, self.ttl(ctx), cfg.start..end);
-        ctx.serve_nodes(cfg, nodes, chan)
+        let nodes = flood_diameter_nodes(ctx.byzantine, attack, self.ttl(ctx), a.range());
+        ctx.serve_nodes(a, nodes, chan)
     }
 }
 

@@ -117,8 +117,8 @@ fn usage() -> ExitCode {
 }
 
 /// Parse a `--engine` value: `sync`, `async` (event-driven engine,
-/// uniform clocks), `sharded-S`, `sharded-async-S` (per-shard calendar
-/// queues, uniform clocks) or `dist-S` (shard workers over the binary
+/// uniform clocks), `sharded-S`, `sharded-async-S` (per-shard clock
+/// domains, uniform clocks) or `dist-S` (shard workers over the binary
 /// wire protocol).
 fn parse_engine(value: &str) -> Option<EngineSpec> {
     match value {

@@ -36,7 +36,7 @@ use crate::sim::spec::{
 use crate::ProtocolParams;
 use netsim_faults::FaultSpec;
 use netsim_runtime::wire::{IoStream, WireError, WireHello, HELLO_DEADLINE};
-use netsim_runtime::{Recorder, RemoteFleet, RunError, ShardServeConfig};
+use netsim_runtime::{Recorder, RemoteFleet, RunError};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -273,8 +273,7 @@ pub fn serve_shard_conn(
         )));
     }
     let estimator = registry.estimator(&prepared.spec, &prepared.params)?;
-    let cfg = ShardServeConfig::from_assignment(&assignment);
-    estimator.serve_shard(&prepared.context(None, None), &cfg, end, stream)
+    estimator.serve_shard(&prepared.context(None, None), &assignment, stream)
 }
 
 /// A [`WireError`] surfaced while serving a shard connection, as a
@@ -435,7 +434,7 @@ impl SimulationBuilder {
     }
 
     /// Shorthand for [`engine`](Self::engine) with the sharded
-    /// event-driven engine: per-shard calendar queues and clock domains.
+    /// event-driven engine: per-shard deferral rings and clock domains.
     /// The shard count is pure execution policy; the clock plan carries
     /// the same semantics as [`async_clocks`](Self::async_clocks).
     pub fn sharded_async(mut self, shards: u32, clocks: netsim_runtime::ClockPlan) -> Self {

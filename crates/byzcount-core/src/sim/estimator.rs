@@ -14,10 +14,10 @@ use crate::runner::{run_counting, Counting};
 use crate::sim::error::SimError;
 use crate::sim::spec::BuiltTopology;
 use netsim_faults::FaultSpec;
-use netsim_runtime::wire::{IoStream, Wire};
+use netsim_runtime::wire::{IoStream, ShardAssignment, Wire};
 use netsim_runtime::{
     serve_shard_session, Adversary, EngineKind, Exec, NullAdversary, Protocol, Recorder,
-    RemoteFleet, RunError, RunMetrics, ShardServeConfig,
+    RemoteFleet, RunError, RunMetrics,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -95,11 +95,11 @@ impl<'a> SimContext<'a> {
     }
 
     /// Serve one shard-worker session over `nodes`, the freshly built
-    /// states for global ids `cfg.start..cfg.start + nodes.len()` — the
+    /// states for the global ids `assignment.start..assignment.end` — the
     /// shared body of every [`Estimator::serve_shard`].
     pub fn serve_nodes<P>(
         &self,
-        cfg: &ShardServeConfig,
+        assignment: &ShardAssignment,
         nodes: Vec<P>,
         chan: &mut IoStream,
     ) -> Result<(), SimError>
@@ -108,13 +108,10 @@ impl<'a> SimContext<'a> {
         P::Message: Wire,
         P::Output: Wire,
     {
-        let end = cfg.start + nodes.len();
-        let byzantine = self.byzantine[cfg.start..end].to_vec();
-        serve_shard_session(self.topology, nodes, byzantine, cfg, chan).map_err(|e| {
-            SimError::Engine(RunError::Fleet(format!(
-                "shard session ({}..{end}): {e}",
-                cfg.start
-            )))
+        let range = assignment.range();
+        let byzantine = self.byzantine[range.clone()].to_vec();
+        serve_shard_session(self.topology, nodes, byzantine, assignment, chan).map_err(|e| {
+            SimError::Engine(RunError::Fleet(format!("shard session ({range:?}): {e}")))
         })
     }
 }
@@ -148,9 +145,9 @@ pub trait Estimator: Send + Sync {
     fn run(&self, ctx: &SimContext<'_>) -> Result<WorkloadRun, SimError>;
 
     /// Serve one shard-worker session for this workload: rebuild the node
-    /// states for global ids `cfg.start..end` exactly as [`run`](Self::run)
-    /// would and drive them round-by-round under the dialing coordinator's
-    /// commands until its Finish frame.
+    /// states for the global ids `assignment.start..assignment.end` exactly
+    /// as [`run`](Self::run) would and drive them round-by-round under the
+    /// dialing coordinator's commands until its Finish frame.
     ///
     /// `ctx` is the worker's reconstruction of the coordinator's context
     /// (same spec, same derived seeds); `chan` is the already-handshaken
@@ -161,11 +158,10 @@ pub trait Estimator: Send + Sync {
     fn serve_shard(
         &self,
         ctx: &SimContext<'_>,
-        cfg: &ShardServeConfig,
-        end: usize,
+        assignment: &ShardAssignment,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
-        let _ = (ctx, cfg, end, chan);
+        let _ = (ctx, assignment, chan);
         Err(SimError::Unsupported(format!(
             "workload `{}` cannot serve shard-worker sessions",
             self.name()
@@ -297,11 +293,10 @@ impl Estimator for CountingEstimator {
     fn serve_shard(
         &self,
         ctx: &SimContext<'_>,
-        cfg: &ShardServeConfig,
-        end: usize,
+        a: &ShardAssignment,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
-        ctx.serve_nodes(cfg, self.counting(ctx).nodes(cfg.start..end), chan)
+        ctx.serve_nodes(a, self.counting(ctx).nodes(a.range()), chan)
     }
 }
 

@@ -53,7 +53,7 @@ pub use spec::{
 /// the async engine's per-node clock model (re-exported from
 /// [`netsim_runtime`]).
 pub use netsim_runtime::{
-    ClockPlan, EngineKind, Exec, NoopRecorder, Recorder, RemoteFleet, RunError, ShardServeConfig,
+    ClockPlan, EngineKind, Exec, NoopRecorder, Recorder, RemoteFleet, RunError,
 };
 
 /// The fault layer's serializable description, embedded in every

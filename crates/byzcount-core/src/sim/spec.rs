@@ -51,7 +51,7 @@ use serde::{Deserialize, Error, Map, Number, Serialize, Value};
 ///   heterogeneous clock plans are the first spec knob that changes run
 ///   *semantics* by design — deterministically per spec and seed.
 /// * **5** — adds the [`EngineSpec::ShardedAsync`] variant: the
-///   event-driven engine with per-shard calendar queues and clock
+///   event-driven engine with per-shard deferral rings and clock
 ///   domains.  No field is added or removed, so version-1/2/3/4 specs all
 ///   still parse unchanged; the bump marks that v4 readers cannot
 ///   interpret a `ShardedAsync` engine value.  Like `Sharded`, the shard
@@ -639,14 +639,14 @@ pub enum EngineSpec {
         /// Number of shards (≥ 1).
         shards: u32,
     },
-    /// The event-driven engine: per-node virtual clocks over a
-    /// deterministic calendar event queue, no global round barrier.
+    /// The event-driven engine: per-node virtual clocks, each node's next
+    /// step held in a deterministic deferral ring, no global round barrier.
     Async {
         /// How node clocks map onto virtual time
         /// ([`ClockPlan::Uniform`] = the synchronous model).
         clocks: ClockPlan,
     },
-    /// The sharded event-driven engine: per-shard calendar queues and
+    /// The sharded event-driven engine: per-shard deferral rings and
     /// clock domains, rendezvousing only at the routing step.  The shard
     /// count is execution policy (byte-identical results for every
     /// count); the clock plan is the same semantic knob as `Async`'s.

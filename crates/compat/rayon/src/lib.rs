@@ -1,10 +1,9 @@
 //! Offline subset of the `rayon` parallel-iterator API.
 //!
 //! The workspace builds without crates.io access, so this shim provides the
-//! slice of rayon it actually uses: `into_par_iter()` on ranges and vectors,
-//! `par_iter()` / `par_iter_mut()` on slices, the adapter chain
-//! (`map`/`filter`/`enumerate`/`zip`) and the usual consumers
-//! (`collect`/`sum`/`count`/`max`/`min`/`for_each`), plus [`join`].
+//! slice of rayon it actually uses: `into_par_iter()` on `usize` ranges and
+//! vectors, `map`, and the consumers `collect`, `sum` and `max`, plus
+//! [`current_num_threads`].
 //!
 //! # Execution model
 //!
@@ -14,21 +13,17 @@
 //! to the sequential result and determinism is preserved no matter how the
 //! OS schedules threads.
 //!
-//! Splitting is *coarse-grained by design*: owned sources (ranges, vectors)
-//! split down to [`MIN_SPLIT`] items, which parallelises the workspace's
-//! outer trial/batch loops where each item is an entire simulation run.
-//! Borrowed slice sources (`par_iter_mut`, used inside the engine's
-//! per-round node loop) intentionally do **not** split: the per-item work
-//! there is microseconds, and spawning scoped threads every round costs more
-//! than it buys without a persistent work-stealing pool.  The rayon API
-//! shape is kept so the code reads identically and a real rayon can be
-//! swapped back in when the registry is reachable.
+//! Splitting is *coarse-grained by design*: sources split down to
+//! `MIN_SPLIT` items, which parallelises the workspace's outer trial, batch
+//! and per-node graph loops, where each item is an entire simulation run or
+//! a BFS.  The rayon API shape is kept so the code reads identically and a
+//! real rayon can be swapped back in when the registry is reachable.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Smallest number of items worth moving to another thread.
-pub const MIN_SPLIT: usize = 2;
+const MIN_SPLIT: usize = 2;
 
 /// Programmatic worker-count override (0 = none); see
 /// [`set_num_threads_override`].
@@ -66,7 +61,7 @@ pub fn current_num_threads() -> usize {
 }
 
 /// Run two closures, potentially in parallel, and return both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB,
@@ -84,12 +79,11 @@ pub trait ParallelIterator: Sized + Send {
     /// Item type.
     type Item: Send;
 
-    /// Exact number of items this pipeline will yield (upper bound for
-    /// filtered pipelines, which refuse to split).
+    /// Exact number of items this pipeline will yield.
     fn bound(&self) -> usize;
 
     /// Try to split into a prefix of `at` items and the remainder.
-    /// `Err(self)` when this pipeline cannot split (filtered or borrowed).
+    /// `Err(self)` when `at` leaves one side empty.
     fn try_split(self, at: usize) -> Result<(Self, Self), Self>;
 
     /// Evaluate sequentially, preserving order.
@@ -107,52 +101,12 @@ pub trait ParallelIterator: Sized + Send {
         }
     }
 
-    /// Keep items satisfying the predicate (disables further splitting).
-    fn filter<F>(self, f: F) -> Filter<Self, F>
-    where
-        F: Fn(&Self::Item) -> bool + Sync + Send,
-    {
-        Filter {
-            base: self,
-            f: Arc::new(f),
-        }
-    }
-
-    /// Attach indices `0..len`.
-    fn enumerate(self) -> Enumerate<Self> {
-        Enumerate {
-            base: self,
-            offset: 0,
-        }
-    }
-
-    /// Pair items positionally with another parallel iterator.
-    fn zip<J>(self, other: J) -> Zip<Self, J>
-    where
-        J: ParallelIterator,
-    {
-        Zip { a: self, b: other }
-    }
-
     /// Evaluate (in parallel where the pipeline allows) and collect.
     fn collect<C>(self) -> C
     where
         C: FromParallelIterator<Self::Item>,
     {
         C::from_par_vec(drive(self))
-    }
-
-    /// Evaluate and discard results.
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Sync + Send,
-    {
-        let _ = drive(self.map(f));
-    }
-
-    /// Number of items produced.
-    fn count(self) -> usize {
-        drive(self).len()
     }
 
     /// Sum of all items.
@@ -170,23 +124,6 @@ pub trait ParallelIterator: Sized + Send {
     {
         drive(self).into_iter().max()
     }
-
-    /// Minimum item.
-    fn min(self) -> Option<Self::Item>
-    where
-        Self::Item: Ord,
-    {
-        drive(self).into_iter().min()
-    }
-
-    /// Left-to-right fold into an accumulator (sequential semantics).
-    fn reduce<ID, OP>(self, identity: ID, op: OP) -> Self::Item
-    where
-        ID: Fn() -> Self::Item + Sync + Send,
-        OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync + Send,
-    {
-        drive(self).into_iter().fold(identity(), op)
-    }
 }
 
 /// Evaluate a pipeline, splitting across scoped threads where profitable.
@@ -202,7 +139,7 @@ fn drive<I: ParallelIterator>(iter: I) -> Vec<I::Item> {
 
 fn drive_rec<I: ParallelIterator>(iter: I, splits_left: usize) -> Vec<I::Item> {
     let n = iter.bound();
-    if splits_left == 0 || n < MIN_SPLIT.max(2) {
+    if splits_left == 0 || n < MIN_SPLIT {
         return iter.seq();
     }
     match iter.try_split(n / 2) {
@@ -262,85 +199,35 @@ impl<T: Send> ParallelIterator for VecParIter<T> {
     }
 }
 
-/// Parallel iterator over an integer range (splittable).
-pub struct RangeParIter<T> {
-    start: T,
-    end: T,
+/// Parallel iterator over a `usize` range (splittable).
+pub struct RangeParIter {
+    start: usize,
+    end: usize,
 }
 
-macro_rules! impl_range_par_iter {
-    ($($t:ty),*) => {$(
-        impl ParallelIterator for RangeParIter<$t> {
-            type Item = $t;
-            fn bound(&self) -> usize {
-                (self.end.saturating_sub(self.start)) as usize
-            }
-            fn try_split(self, at: usize) -> Result<(Self, Self), Self> {
-                let len = self.bound();
-                if at == 0 || at >= len {
-                    return Err(self);
-                }
-                let mid = self.start + at as $t;
-                Ok((
-                    RangeParIter { start: self.start, end: mid },
-                    RangeParIter { start: mid, end: self.end },
-                ))
-            }
-            fn seq(self) -> Vec<$t> {
-                (self.start..self.end).collect()
-            }
-        }
-
-        impl IntoParallelIterator for core::ops::Range<$t> {
-            type Item = $t;
-            type Iter = RangeParIter<$t>;
-            fn into_par_iter(self) -> Self::Iter {
-                RangeParIter { start: self.start, end: self.end }
-            }
-        }
-    )*};
-}
-impl_range_par_iter!(u32, u64, usize, i32, i64);
-
-/// Parallel iterator over a shared slice (borrowed: evaluates sequentially).
-pub struct SliceParIter<'a, T: Sync> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync> ParallelIterator for SliceParIter<'a, T> {
-    type Item = &'a T;
+impl ParallelIterator for RangeParIter {
+    type Item = usize;
     fn bound(&self) -> usize {
-        self.slice.len()
+        self.end.saturating_sub(self.start)
     }
     fn try_split(self, at: usize) -> Result<(Self, Self), Self> {
-        if at == 0 || at >= self.slice.len() {
+        if at == 0 || at >= self.bound() {
             return Err(self);
         }
-        let (a, b) = self.slice.split_at(at);
-        Ok((SliceParIter { slice: a }, SliceParIter { slice: b }))
+        let mid = self.start + at;
+        Ok((
+            RangeParIter {
+                start: self.start,
+                end: mid,
+            },
+            RangeParIter {
+                start: mid,
+                end: self.end,
+            },
+        ))
     }
-    fn seq(self) -> Vec<&'a T> {
-        self.slice.iter().collect()
-    }
-}
-
-/// Parallel iterator over an exclusive slice (borrowed: evaluates
-/// sequentially — see the module docs for why).
-pub struct SliceMutParIter<'a, T: Send> {
-    slice: &'a mut [T],
-}
-
-impl<'a, T: Send> ParallelIterator for SliceMutParIter<'a, T> {
-    type Item = &'a mut T;
-    fn bound(&self) -> usize {
-        self.slice.len()
-    }
-    fn try_split(self, _at: usize) -> Result<(Self, Self), Self> {
-        // Engine-internal loops are deliberately kept on one thread.
-        Err(self)
-    }
-    fn seq(self) -> Vec<&'a mut T> {
-        self.slice.iter_mut().collect()
+    fn seq(self) -> Vec<usize> {
+        (self.start..self.end).collect()
     }
 }
 
@@ -382,101 +269,6 @@ where
     }
 }
 
-/// Filtered pipeline (never splits, keeping indices/lengths honest).
-pub struct Filter<I, F: ?Sized> {
-    base: I,
-    f: Arc<F>,
-}
-
-impl<I, F> ParallelIterator for Filter<I, F>
-where
-    I: ParallelIterator,
-    F: Fn(&I::Item) -> bool + Sync + Send + ?Sized,
-{
-    type Item = I::Item;
-    fn bound(&self) -> usize {
-        self.base.bound()
-    }
-    fn try_split(self, _at: usize) -> Result<(Self, Self), Self> {
-        Err(self)
-    }
-    fn seq(self) -> Vec<I::Item> {
-        let f = self.f;
-        self.base.seq().into_iter().filter(|x| f(x)).collect()
-    }
-}
-
-/// Enumerated pipeline.
-pub struct Enumerate<I> {
-    base: I,
-    offset: usize,
-}
-
-impl<I> ParallelIterator for Enumerate<I>
-where
-    I: ParallelIterator,
-{
-    type Item = (usize, I::Item);
-    fn bound(&self) -> usize {
-        self.base.bound()
-    }
-    fn try_split(self, at: usize) -> Result<(Self, Self), Self> {
-        let offset = self.offset;
-        match self.base.try_split(at) {
-            Ok((a, b)) => Ok((
-                Enumerate { base: a, offset },
-                Enumerate {
-                    base: b,
-                    offset: offset + at,
-                },
-            )),
-            Err(base) => Err(Enumerate { base, offset }),
-        }
-    }
-    fn seq(self) -> Vec<(usize, I::Item)> {
-        let offset = self.offset;
-        self.base
-            .seq()
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| (offset + i, x))
-            .collect()
-    }
-}
-
-/// Positionally zipped pipelines (truncates to the shorter side).
-pub struct Zip<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A, B> ParallelIterator for Zip<A, B>
-where
-    A: ParallelIterator,
-    B: ParallelIterator,
-{
-    type Item = (A::Item, B::Item);
-    fn bound(&self) -> usize {
-        self.a.bound().min(self.b.bound())
-    }
-    fn try_split(self, at: usize) -> Result<(Self, Self), Self> {
-        if at == 0 || at >= self.bound() {
-            return Err(self);
-        }
-        match self.a.try_split(at) {
-            Ok((a1, a2)) => match self.b.try_split(at) {
-                Ok((b1, b2)) => Ok((Zip { a: a1, b: b1 }, Zip { a: a2, b: b2 })),
-                Err(_) => unreachable!("zip halves must split identically"),
-            },
-            Err(a) => Err(Zip { a, b: self.b }),
-        }
-    }
-    fn seq(self) -> Vec<(A::Item, B::Item)> {
-        let b = self.b.seq();
-        self.a.seq().into_iter().zip(b).collect()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Entry-point traits
 // ---------------------------------------------------------------------------
@@ -499,72 +291,20 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
     }
 }
 
-/// `par_iter()` on shared collections.
-pub trait IntoParallelRefIterator<'a> {
-    /// Item type.
-    type Item: Send + 'a;
-    /// Pipeline type.
-    type Iter: ParallelIterator<Item = Self::Item>;
-    /// Borrowing conversion.
-    fn par_iter(&'a self) -> Self::Iter;
-}
-
-impl<'a, T: Sync + Send + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-    type Iter = SliceParIter<'a, T>;
-    fn par_iter(&'a self) -> Self::Iter {
-        SliceParIter { slice: self }
-    }
-}
-
-impl<'a, T: Sync + Send + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    type Iter = SliceParIter<'a, T>;
-    fn par_iter(&'a self) -> Self::Iter {
-        SliceParIter { slice: self }
-    }
-}
-
-/// `par_iter_mut()` on exclusive collections.
-pub trait IntoParallelRefMutIterator<'a> {
-    /// Item type.
-    type Item: Send + 'a;
-    /// Pipeline type.
-    type Iter: ParallelIterator<Item = Self::Item>;
-    /// Borrowing conversion.
-    fn par_iter_mut(&'a mut self) -> Self::Iter;
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
-    type Item = &'a mut T;
-    type Iter = SliceMutParIter<'a, T>;
-    fn par_iter_mut(&'a mut self) -> Self::Iter {
-        SliceMutParIter { slice: self }
-    }
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
-    type Item = &'a mut T;
-    type Iter = SliceMutParIter<'a, T>;
-    fn par_iter_mut(&'a mut self) -> Self::Iter {
-        SliceMutParIter { slice: self }
+impl IntoParallelIterator for core::ops::Range<usize> {
+    type Item = usize;
+    type Iter = RangeParIter;
+    fn into_par_iter(self) -> Self::Iter {
+        RangeParIter {
+            start: self.start,
+            end: self.end,
+        }
     }
 }
 
 /// The usual glob import.
 pub mod prelude {
-    pub use crate::{
-        FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator,
-        IntoParallelRefMutIterator, ParallelIterator,
-    };
-}
-
-pub mod iter {
-    //! Namespace parity with rayon.
-    pub use crate::{
-        Enumerate, Filter, FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator,
-        IntoParallelRefMutIterator, Map, ParallelIterator, Zip,
-    };
+    pub use crate::{FromParallelIterator, IntoParallelIterator, ParallelIterator};
 }
 
 #[cfg(test)]
@@ -573,8 +313,8 @@ mod tests {
 
     #[test]
     fn range_map_collect_matches_sequential() {
-        let par: Vec<u64> = (0u64..1000).into_par_iter().map(|x| x * x).collect();
-        let seq: Vec<u64> = (0u64..1000).map(|x| x * x).collect();
+        let par: Vec<usize> = (0..1000).into_par_iter().map(|x| x * x).collect();
+        let seq: Vec<usize> = (0..1000).map(|x| x * x).collect();
         assert_eq!(par, seq);
     }
 
@@ -587,25 +327,11 @@ mod tests {
     }
 
     #[test]
-    fn zip_enumerate_chain() {
-        let mut a = vec![10u32, 20, 30];
-        let mut b = vec![1u32, 2, 3];
-        let out: Vec<(usize, u32)> = a
-            .par_iter_mut()
-            .zip(b.par_iter_mut())
-            .enumerate()
-            .map(|(i, (x, y))| (i, *x + *y))
-            .collect();
-        assert_eq!(out, vec![(0, 11), (1, 22), (2, 33)]);
-    }
-
-    #[test]
-    fn filter_sum_count() {
-        let sum: u64 = (0u64..100).into_par_iter().filter(|x| x % 2 == 0).sum();
-        assert_eq!(sum, (0..100).filter(|x| x % 2 == 0).sum::<u64>());
-        let cnt = (0usize..57).into_par_iter().count();
-        assert_eq!(cnt, 57);
-        assert_eq!((0u32..9).into_par_iter().max(), Some(8));
+    fn map_sum_max() {
+        let sum: f64 = (0..100).into_par_iter().map(|x| x as f64).sum();
+        assert_eq!(sum, 4950.0);
+        assert_eq!((0..9).into_par_iter().max(), Some(8));
+        assert_eq!((0..0).into_par_iter().max(), None);
     }
 
     #[test]
@@ -617,9 +343,9 @@ mod tests {
 
     #[test]
     fn collect_into_result_short_circuits_errors() {
-        let ok: Result<Vec<u32>, String> = (0u32..10).into_par_iter().map(Ok).collect();
+        let ok: Result<Vec<usize>, String> = (0..10).into_par_iter().map(Ok).collect();
         assert_eq!(ok.unwrap().len(), 10);
-        let err: Result<Vec<u32>, String> = (0u32..10)
+        let err: Result<Vec<usize>, String> = (0..10)
             .into_par_iter()
             .map(|x| {
                 if x == 5 {

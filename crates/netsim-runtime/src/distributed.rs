@@ -485,38 +485,12 @@ fn decode_done<O: Wire>(bytes: &[u8], len: usize) -> Result<ShardOutcome<O>, Wir
     Ok((metrics, outputs, decided))
 }
 
-/// Everything a process-level shard worker needs beyond its node range's
-/// states and Byzantine mask — normally lifted straight off the
-/// coordinator's hello via [`ShardServeConfig::from_assignment`].
-#[derive(Clone, Debug)]
-pub struct ShardServeConfig {
-    /// First global node id of the range.
-    pub start: usize,
-    /// The engine seed (per-node RNG sub-streams derive from it by global
-    /// node id).
-    pub seed: u64,
-    /// Keep pristine state clones for churn recovery (true iff the
-    /// coordinator runs a fault plan).
-    pub keep_pristine: bool,
-    /// Global ids within the range that start crashed.
-    pub crashed: Vec<u32>,
-}
-
-impl ShardServeConfig {
-    /// Lift the serve parameters off a coordinator's [`ShardAssignment`].
-    pub fn from_assignment(a: &ShardAssignment) -> Self {
-        ShardServeConfig {
-            start: a.start as usize,
-            seed: a.seed,
-            keep_pristine: a.pristine,
-            crashed: a.crashed.clone(),
-        }
-    }
-}
-
 /// Serve one coordinator session over an already-handshaken channel: the
-/// process-level worker's side of the engine, fed with the node range's
-/// freshly built states (`states`/`byzantine` cover the range only).
+/// process-level worker's side of the engine, fed with the freshly built
+/// states of the node range `assignment` names (`states`/`byzantine`
+/// cover the range only).  The assignment also carries the engine seed,
+/// whether to keep pristine states for churn recovery, and the nodes that
+/// start crashed.
 ///
 /// Determinism: given states built identically to the coordinator's (the
 /// spec-driven runners construct per-node states by global node id, so a
@@ -526,7 +500,7 @@ pub fn serve_shard_session<T, P, S>(
     topology: &T,
     states: Vec<P>,
     byzantine: Vec<bool>,
-    cfg: &ShardServeConfig,
+    assignment: &ShardAssignment,
     chan: &mut S,
 ) -> Result<(), WireError>
 where
@@ -536,7 +510,14 @@ where
     P::Output: Wire,
     S: Read + Write,
 {
-    let range = cfg.start..cfg.start + states.len();
+    let range = assignment.range();
+    if states.len() != range.len() {
+        return Err(WireError::Corrupt(format!(
+            "{} node states for the {}-node range {range:?}",
+            states.len(),
+            range.len()
+        )));
+    }
     if byzantine.len() != range.len() {
         return Err(WireError::Corrupt(format!(
             "byzantine mask covers {} nodes, range has {}",
@@ -544,8 +525,9 @@ where
             range.len()
         )));
     }
-    let mut shard = Shard::new(cfg.start, states, byzantine, cfg.seed, ClockPlan::Uniform);
-    for &id in &cfg.crashed {
+    let seed = assignment.seed;
+    let mut shard = Shard::new(range.start, states, byzantine, seed, ClockPlan::Uniform);
+    for &id in &assignment.crashed {
         if !range.contains(&(id as usize)) {
             return Err(WireError::Corrupt(format!(
                 "initial crash id {id} outside range {range:?}"
@@ -553,7 +535,7 @@ where
         }
         shard.crash_initially(id as usize);
     }
-    if cfg.keep_pristine {
+    if assignment.pristine {
         shard.keep_pristine();
     }
     serve(topology, shard, chan)
@@ -833,12 +815,11 @@ mod tests {
                     let a = theirs.assignment.expect("coordinator sends an assignment");
                     let g = line_graph(a.n as usize);
                     let len = (a.end - a.start) as usize;
-                    let cfg = ShardServeConfig::from_assignment(&a);
                     serve_shard_session(
                         &g,
                         flood_states(len, ttl),
                         vec![false; len],
-                        &cfg,
+                        &a,
                         &mut stream,
                     )
                     .unwrap();

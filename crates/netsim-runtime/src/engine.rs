@@ -436,15 +436,10 @@ where
         // Phase 1: run every non-crashed node against its inbox, queueing
         // straight into the honest or the Byzantine-default round arena.
         //
-        // This loop is sequential by design.  The workspace's rayon shim
-        // intentionally refuses to split borrowed-slice pipelines (per-node
-        // work is microseconds; spawning scoped threads every round costs
-        // more than it buys — see `rayon`'s module docs), so a `par_iter`
-        // chain here would run sequentially *and* materialize a fresh
-        // `Vec<&mut _>` per adapter per round.  Parallelism lives one level
-        // up, across the runs of a batch.  Determinism is unaffected either
-        // way: each node owns its RNG stream and results land in node
-        // order.
+        // This loop is sequential by design: per-node work is
+        // microseconds, less than handing nodes to other threads every
+        // round would cost, so parallelism lives one level up, across the
+        // runs of a batch.
         {
             let inboxes = &self.inboxes;
             let topology = self.topology;
@@ -651,7 +646,9 @@ where
             EnvelopeFate::Drop => self.metrics.record_fault_loss(),
             EnvelopeFate::Delay(delay) => {
                 self.metrics.record_fault_delay();
-                self.deferred.push(round, round + delay, env);
+                // A delay past the end of time is past the run: the
+                // envelope expires.
+                self.deferred.push(round, round.saturating_add(delay), env);
             }
         }
     }

@@ -13,9 +13,11 @@
 //! * in each round, every active node consumes its inbox (the messages
 //!   addressed to it in the previous round) and queues its messages
 //!   straight into the round arena through an engine-stamped [`Outbox`];
-//! * the [`adversary::Adversary`] then observes *everything* — all node
-//!   states, every message queued by honest nodes this round, and the
-//!   messages the Byzantine nodes would have sent had they been honest — and
+//! * the [`adversary::Adversary`] then observes every message queued by
+//!   honest nodes this round, the messages the Byzantine nodes would have
+//!   sent had they been honest, and the Byzantine and crash masks (node
+//!   states stay in the shards that step them; the rest of its full
+//!   information is the topology and history it keeps itself) — and
 //!   may replace the Byzantine nodes' messages arbitrarily (it cannot forge
 //!   the sender identity nor send over non-existent edges, matching the
 //!   paper's "cannot lie about its ID to a neighbour" and "can communicate
@@ -54,8 +56,8 @@ pub mod sharded;
 pub mod topology;
 
 pub use adversary::{Adversary, AdversaryDecision, AdversaryView, NullAdversary};
-pub use clock::{CalendarQueue, ClockPlan, EventClass, EventKey};
-pub use distributed::{serve_shard_session, RemoteFleet, RunError, ShardServeConfig};
+pub use clock::ClockPlan;
+pub use distributed::{serve_shard_session, RemoteFleet, RunError};
 pub use engine::{EngineConfig, RunResult, SyncEngine};
 pub use message::{Envelope, MessageSize, SizedMessage};
 pub use metrics::RunMetrics;
@@ -87,7 +89,7 @@ pub use netsim_faults::{ChurnEvent, EnvelopeFate, FaultPlan, FaultSpec, NoFaults
 pub mod prelude {
     pub use crate::adversary::{Adversary, AdversaryDecision, AdversaryView, NullAdversary};
     pub use crate::clock::ClockPlan;
-    pub use crate::distributed::{serve_shard_session, RemoteFleet, RunError, ShardServeConfig};
+    pub use crate::distributed::{serve_shard_session, RemoteFleet, RunError};
     pub use crate::engine::{EngineConfig, RunResult, SyncEngine};
     pub use crate::message::{Envelope, MessageSize, SizedMessage};
     pub use crate::metrics::RunMetrics;

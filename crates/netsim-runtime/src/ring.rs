@@ -1,38 +1,47 @@
-//! A ring of round buckets for deferred message delivery.
+//! A ring of tick buckets: the one deferral structure of both engines.
 //!
-//! The engine's bounded-delay fault injection defers envelopes to a later
-//! round.  The original implementation kept them in a
-//! `BTreeMap<u64, Vec<Envelope>>`, paying tree rebalancing and a fresh
-//! `Vec` allocation per (round, delay) pair.  [`DelayRing`] replaces it
-//! with a circular array of buckets indexed by `due_round % capacity`:
-//! push and drain are O(1) bucket lookups, and drained buckets keep their
-//! capacity, so after warm-up the deferred path allocates nothing.
+//! An engine defers two kinds of item to a later tick: envelopes the
+//! fault plan delays (`FaultSpec::Delay`), and, under a heterogeneous
+//! [`ClockPlan`](crate::ClockPlan), each node's next step.  Both need one
+//! thing: hold an item until tick `t`, then hand back that tick's items.
+//! [`DelayRing`] does it with a circular array of buckets indexed by
+//! `due % capacity`: push and drain are O(1) bucket lookups, and drained
+//! buckets keep their capacity, so after warm-up deferring allocates
+//! nothing.  The reference [`SyncEngine`](crate::SyncEngine) keeps its
+//! delayed envelopes in one; each shard of the
+//! [`ShardedEngine`](crate::ShardedEngine) keeps its delayed envelopes in
+//! one and, under a heterogeneous clock plan, its pending node steps in a
+//! second.
 //!
 //! Correctness relies on one invariant the ring enforces itself: every
-//! ring-resident due round lies within one capacity window of the current
-//! round, so each owns a distinct slot.  Delays too large for the ring to
+//! ring-resident due tick lies within one capacity window of the current
+//! tick, so each owns a distinct slot.  Delays too large for the ring to
 //! cover affordably — the ring never grows past `MAX_BUCKETS` — spill
-//! into a `BTreeMap` side table with the original structure's exact
-//! semantics, so a spec with an enormous `Δ` costs O(deferred messages)
-//! memory (as it always did) instead of an O(Δ) allocation.  All items for
-//! one due round live on one side (a due round that ever spilled keeps
-//! spilling), which preserves per-round insertion order exactly.
+//! into a `BTreeMap` side table, so a spec with an enormous `Δ` costs
+//! O(deferred items) memory instead of an O(Δ) allocation.  All items for
+//! one due tick live on one side (a due tick that ever spilled keeps
+//! spilling), which keeps each tick's items in push order exactly.
+//!
+//! A push into the past panics, in release builds too: the ring would
+//! file it in a bucket the drain has already passed, and the item would
+//! be lost without a trace, breaking the engines' determinism contract
+//! where no test looks.
 
 use std::collections::BTreeMap;
 
-/// One bucket: the due round it currently holds, plus the items.
+/// One bucket: the due tick it currently holds, plus the items.
 #[derive(Clone, Debug)]
 struct Bucket<T> {
     due: u64,
     items: Vec<T>,
 }
 
-/// A circular buffer of round-indexed buckets with a far-future overflow
+/// A circular buffer of tick-indexed buckets with a far-future overflow
 /// side table; see the module docs.
 #[derive(Clone, Debug)]
 pub struct DelayRing<T> {
     buckets: Vec<Bucket<T>>,
-    /// Due rounds too far out for the ring ([`MAX_BUCKETS`] cap); the
+    /// Due ticks too far out for the ring ([`MAX_BUCKETS`] cap); the
     /// rare path — realistic delays stay in the ring.
     overflow: BTreeMap<u64, Vec<T>>,
     /// Total items across buckets and overflow.
@@ -76,22 +85,31 @@ impl<T> DelayRing<T> {
         (due % self.buckets.len() as u64) as usize
     }
 
-    /// Defer `item` until `due` (which must be strictly after the current
-    /// round — the engine only calls this with `due = round + delay`,
-    /// `delay ≥ 1`).
+    /// Defer `item` until tick `due`.
     ///
-    /// Callers that drain every consecutive round (the engine does) keep
-    /// the ring at its minimal size: ring-resident due rounds then span
-    /// less than one capacity window, so every due round owns a distinct
-    /// slot.  Skipping rounds is still *correct* — a collision with a
-    /// bucket holding a different due round (e.g. a stale, never-drained
-    /// one) grows the ring until the slots separate (or spills to the
-    /// overflow table at the cap), it never misfiles items.
+    /// `due` may equal `current` only while that tick has not been
+    /// drained yet: a node's first step is due at tick 0 and is pushed at
+    /// tick 0, before the first drain.
+    ///
+    /// Callers that drain every consecutive tick keep the ring at its
+    /// minimal size: ring-resident due ticks then span less than one
+    /// capacity window, so every due tick owns a distinct slot.  Skipping
+    /// ticks, as sparse ticking does, is still *correct* — a collision
+    /// with a bucket holding a different due tick (e.g. a stale, never
+    /// drained one) grows the ring until the slots separate (or spills to
+    /// the overflow table at the cap); it never misfiles items.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `due < current`; see the module docs.
     pub fn push(&mut self, current: u64, due: u64, item: T) {
-        debug_assert!(due > current, "deferred items must be due in the future");
-        // A due round that already has overflow items keeps accumulating
+        assert!(
+            due >= current,
+            "DelayRing::push: item due at tick {due} is in the past (current tick {current})"
+        );
+        // A due tick that already has overflow items keeps accumulating
         // there, even once its window shrinks into ring range — one side
-        // per due round is what keeps per-round insertion order exact.
+        // per due tick is what keeps each tick's push order exact.
         if !self.overflow.is_empty() {
             if let Some(spilled) = self.overflow.get_mut(&due) {
                 spilled.push(item);
@@ -99,7 +117,7 @@ impl<T> DelayRing<T> {
                 return;
             }
         }
-        let window = due.saturating_sub(current);
+        let window = due - current;
         if window >= MAX_BUCKETS as u64 {
             self.overflow.entry(due).or_default().push(item);
             self.in_flight += 1;
@@ -114,7 +132,7 @@ impl<T> DelayRing<T> {
             let bucket = &mut self.buckets[slot];
             if bucket.items.is_empty() {
                 // A drained (or never-used) bucket is free to adopt a new
-                // due round; its kept capacity is what makes the ring
+                // due tick; its kept capacity is what makes the ring
                 // allocation-free in steady state.
                 bucket.due = due;
             }
@@ -123,10 +141,10 @@ impl<T> DelayRing<T> {
                 self.in_flight += 1;
                 return;
             }
-            // Slot occupied by a different due round: grow and retry, or
+            // Slot occupied by a different due tick: grow and retry, or
             // spill once the ring refuses to grow further.  The loop
             // terminates because capacity doubles each iteration and
-            // finitely many distinct due rounds are outstanding.
+            // finitely many distinct due ticks are outstanding.
             let doubled = 2 * self.buckets.len();
             if doubled > MAX_BUCKETS {
                 self.overflow.entry(due).or_default().push(item);
@@ -137,27 +155,48 @@ impl<T> DelayRing<T> {
         }
     }
 
-    /// Feed every item due exactly at `round` to `consume`, in insertion
+    /// Feed every item due exactly at `tick` to `consume`, in push
     /// order, keeping ring-bucket capacity for reuse.
-    pub fn drain_due(&mut self, round: u64, mut consume: impl FnMut(T)) {
+    pub fn drain_due(&mut self, tick: u64, mut consume: impl FnMut(T)) {
         if self.in_flight == 0 {
             return;
         }
-        let slot = self.slot(round);
+        let slot = self.slot(tick);
         let bucket = &mut self.buckets[slot];
-        if bucket.due == round && !bucket.items.is_empty() {
+        if bucket.due == tick && !bucket.items.is_empty() {
             self.in_flight -= bucket.items.len();
             for item in bucket.items.drain(..) {
                 consume(item);
             }
         }
         if !self.overflow.is_empty() {
-            if let Some(spilled) = self.overflow.remove(&round) {
+            if let Some(spilled) = self.overflow.remove(&tick) {
                 self.in_flight -= spilled.len();
                 for item in spilled {
                     consume(item);
                 }
             }
+        }
+    }
+
+    /// The earliest tick at which any item is due, or `None` when the
+    /// ring is empty.
+    ///
+    /// One pass over the ring's occupied buckets plus a first-key peek at
+    /// the overflow table — O(capacity), not O(items).  Sparse ticking
+    /// consults it once per *executed* tick to find the next tick worth
+    /// visiting.
+    pub fn next_due(&self) -> Option<u64> {
+        let ring_min = self
+            .buckets
+            .iter()
+            .filter(|b| !b.items.is_empty())
+            .map(|b| b.due)
+            .min();
+        let overflow_min = self.overflow.keys().next().copied();
+        match (ring_min, overflow_min) {
+            (Some(r), Some(o)) => Some(r.min(o)),
+            (r, o) => r.or(o),
         }
     }
 
@@ -248,9 +287,10 @@ mod tests {
 
     #[test]
     fn skipped_drain_rounds_never_misfile_items() {
-        // A caller that does NOT drain every round (no engine drives this
-        // ring) must still get every item back at its due round: stale
-        // buckets force growth instead of silently absorbing new items.
+        // A caller that does NOT drain every round (sparse ticking skips
+        // idle ticks) must still get every item back at its due round:
+        // stale buckets force growth instead of silently absorbing new
+        // items.
         let mut ring = DelayRing::new();
         ring.push(0, 5, 5u32); // never drained before the wrap
         ring.push(10, 13, 13); // 13 % 8 == 5: collides with the stale bucket
@@ -314,5 +354,40 @@ mod tests {
         }
         assert_eq!(seen, 40 * 6);
         assert!(ring.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "is in the past")]
+    fn pushes_into_the_past_panic() {
+        // Regression: a push with `due < current` used to be filed as
+        // "due now" into a bucket the drain had already passed, losing the
+        // item.  The ring must refuse loudly instead, in release builds too.
+        let mut ring = DelayRing::new();
+        ring.push(10, 9, 1u32);
+    }
+
+    #[test]
+    fn next_due_tracks_ring_and_overflow() {
+        let mut ring = DelayRing::new();
+        assert_eq!(ring.next_due(), None, "an empty ring has nothing due");
+        // Far-future first: the overflow table alone answers.
+        ring.push(0, 1_000_000, 1u32);
+        assert_eq!(ring.next_due(), Some(1_000_000));
+        // A nearer ring item wins the min.
+        ring.push(0, 7, 2);
+        assert_eq!(ring.next_due(), Some(7));
+        ring.push(0, 3, 3);
+        assert_eq!(ring.next_due(), Some(3));
+        // Draining the nearest tick advances the answer.
+        assert_eq!(drain_vec(&mut ring, 3), vec![3]);
+        assert_eq!(ring.next_due(), Some(7));
+        assert_eq!(drain_vec(&mut ring, 7), vec![2]);
+        assert_eq!(
+            ring.next_due(),
+            Some(1_000_000),
+            "only the overflow item remains"
+        );
+        assert_eq!(drain_vec(&mut ring, 1_000_000), vec![1]);
+        assert_eq!(ring.next_due(), None);
     }
 }

@@ -7,9 +7,10 @@
 //! type from decoded frames when it lives behind a `netsim-wire` channel.
 //! A shard owns everything the engine keeps per node in its range: the
 //! protocol states, RNG streams, statuses, outputs, mailboxes, round
-//! arenas, delivery-side metrics and calendar queue.  Nothing outside the
-//! shard reads or writes them, so a shard can move whole to whichever
-//! thread steps it.
+//! arenas, delivery-side metrics and deferral rings: a
+//! [`DelayRing`] of delayed envelopes and, under a heterogeneous clock
+//! plan, one of pending node steps.  Nothing outside the shard reads or
+//! writes them, so a shard can move whole to whichever thread steps it.
 //!
 //! A tick on a shard is [`open`](Shard::open) (step the due nodes into
 //! the arenas and apply their actions), then any number of
@@ -21,11 +22,12 @@
 //! the shard's own envelopes by index.
 
 use crate::batch::{decode_fates, Fate};
-use crate::clock::{CalendarQueue, ClockPlan, EventClass};
+use crate::clock::ClockPlan;
 use crate::engine::splitmix;
 use crate::message::{Envelope, MessageSize};
 use crate::metrics::RunMetrics;
 use crate::node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
+use crate::ring::DelayRing;
 use crate::topology::Topology;
 use netsim_graph::NodeId;
 use netsim_wire::{Reader, Wire, WireError};
@@ -56,16 +58,14 @@ pub(crate) struct Shard<P: Protocol> {
     pub(crate) decided_round: Vec<Option<u64>>,
     /// Everything delivered to each node since its previous step.
     mailboxes: Vec<Vec<Envelope<P::Message>>>,
-    /// Per-node step periods under a heterogeneous clock plan; `None`
-    /// under a synchronous one, where every node steps every tick and the
-    /// queue holds only deferred deliveries.
-    periods: Option<Vec<u64>>,
-    /// Deferred deliveries into this range, plus the node-step events of
-    /// a heterogeneous clock plan.  Step events carry no envelope.
-    pub(crate) queue: CalendarQueue<Option<Envelope<P::Message>>>,
-    scratch: Vec<(u32, Option<Envelope<P::Message>>)>,
-    /// Deferred envelopes scheduled and not yet due.
-    pub(crate) in_flight: u64,
+    /// Under a heterogeneous clock plan, each node's step period and the
+    /// pending node steps (global ids, by due tick); `None` under a
+    /// synchronous one, where every node steps every tick.
+    clock: Option<(Vec<u64>, DelayRing<u32>)>,
+    /// Reusable buffer for the nodes due at a tick.
+    due: Vec<u32>,
+    /// Deferred deliveries into this range.
+    pub(crate) deferred: DelayRing<Envelope<P::Message>>,
     /// Delivery-side accounting for this range.
     pub(crate) metrics: RunMetrics,
     /// The tick being processed.
@@ -92,12 +92,15 @@ impl<P: Protocol> Shard<P> {
     ) -> Self {
         let range = start..start + states.len();
         let len = range.len();
-        let mut queue = CalendarQueue::new();
-        let periods = (!clocks.is_synchronous()).then(|| {
+        let clock = (!clocks.is_synchronous()).then(|| {
+            let mut steps = DelayRing::new();
             for i in range.clone() {
-                queue.push(0, 0, EventClass::NodeStep, i as u32, None);
+                steps.push(0, 0, i as u32);
             }
-            range.clone().map(|i| clocks.period_of(i, seed)).collect()
+            (
+                range.clone().map(|i| clocks.period_of(i, seed)).collect(),
+                steps,
+            )
         });
         Shard {
             start,
@@ -111,10 +114,9 @@ impl<P: Protocol> Shard<P> {
             outputs: vec![None; len],
             decided_round: vec![None; len],
             mailboxes: vec![Vec::new(); len],
-            periods,
-            queue,
-            scratch: Vec::new(),
-            in_flight: 0,
+            clock,
+            due: Vec::new(),
+            deferred: DelayRing::new(),
             metrics: RunMetrics::default(),
             tick: 0,
             honest: Outbox::new(),
@@ -187,33 +189,29 @@ impl<P: Protocol> Shard<P> {
     pub(crate) fn open<T: Topology>(&mut self, tick: u64, topology: &T) {
         self.tick = tick;
         self.metrics.begin_round();
-        match self.periods.take() {
+        match self.clock.take() {
             None => {
                 for local in 0..self.len() {
                     self.step(local, topology);
                 }
             }
-            // Due nodes step in node order (the queue's tie-break) and are
-            // rescheduled unconditionally: a crashed node keeps its
-            // cadence, so a churn-recovered node resumes on its original
-            // clock phase.
-            Some(periods) => {
-                let mut due = std::mem::take(&mut self.scratch);
-                self.queue
-                    .drain_class_into(tick, EventClass::NodeStep, &mut due);
-                for &(node, _) in &due {
+            // Due nodes step in node order and are rescheduled
+            // unconditionally: a crashed node keeps its cadence, so a
+            // churn-recovered node resumes on its original clock phase.
+            // The ring hands them back in push order, and they were pushed
+            // at different ticks, so they are sorted first.
+            Some((periods, mut steps)) => {
+                let mut due = std::mem::take(&mut self.due);
+                steps.drain_due(tick, |node| due.push(node));
+                due.sort_unstable();
+                for &node in &due {
                     let local = node as usize - self.start;
-                    self.queue.push(
-                        tick,
-                        tick + periods[local],
-                        EventClass::NodeStep,
-                        node,
-                        None,
-                    );
+                    steps.push(tick, tick + periods[local], node);
                     self.step(local, topology);
                 }
-                self.scratch = due;
-                self.periods = Some(periods);
+                due.clear();
+                self.due = due;
+                self.clock = Some((periods, steps));
             }
         }
     }
@@ -270,12 +268,7 @@ impl<P: Protocol> Shard<P> {
                 self.metrics.record_delivery(env.payload.message_size());
                 self.mailboxes[env.to.index() - self.start].push(env);
             }
-            Some(due) => {
-                self.in_flight += 1;
-                let to = env.to.0;
-                self.queue
-                    .push(self.tick, due, EventClass::Deliver, to, Some(env));
-            }
+            Some(due) => self.deferred.push(self.tick, due, env),
         }
     }
 
@@ -324,41 +317,101 @@ impl<P: Protocol> Shard<P> {
         accepted
     }
 
-    /// Complete the deferred deliveries due this tick.  An envelope whose
-    /// recipient crashed while it was in flight expires, never delivered.
+    /// Complete the deferred deliveries due this tick, each recipient's
+    /// in the order they were deferred.  An envelope whose recipient
+    /// crashed while it was in flight expires, never delivered.
     pub(crate) fn drain(&mut self) {
-        let mut due = std::mem::take(&mut self.scratch);
-        self.queue
-            .drain_class_into(self.tick, EventClass::Deliver, &mut due);
-        for (node, env) in due.drain(..) {
-            let env = env.expect("deliver events carry an envelope");
-            let local = node as usize - self.start;
-            self.in_flight -= 1;
+        self.deferred.drain_due(self.tick, |env| {
+            let local = env.to.index() - self.start;
             if self.statuses[local] == NodeStatus::Crashed {
                 self.metrics.record_fault_expired(1);
             } else {
                 self.metrics.record_delivery(env.payload.message_size());
                 self.mailboxes[local].push(env);
             }
-        }
-        self.scratch = due;
+        });
+    }
+
+    /// Items waiting in this shard's rings: deferred envelopes plus
+    /// pending node steps.
+    pub(crate) fn scheduled(&self) -> u64 {
+        let steps = self
+            .clock
+            .as_ref()
+            .map_or(0, |(_, steps)| steps.in_flight());
+        (self.deferred.in_flight() + steps) as u64
     }
 
     /// The earliest tick at which this shard has work: now, when every
-    /// node steps every tick; otherwise its queue's next event.
+    /// node steps every tick; otherwise the earlier of its rings' next
+    /// due ticks.
     pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
-        match self.periods {
+        match &self.clock {
             None => Some(now),
-            Some(_) => self.queue.next_event_time(),
+            Some((_, steps)) => steps
+                .next_due()
+                .into_iter()
+                .chain(self.deferred.next_due())
+                .min(),
         }
     }
 
     /// End the run: deferred envelopes still in flight expire, never
     /// delivered.
     pub(crate) fn finish(&mut self) {
-        let expired = std::mem::take(&mut self.in_flight);
+        let expired = std::mem::take(&mut self.deferred).in_flight() as u64;
         if expired > 0 {
             self.metrics.record_fault_expired(expired);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::{line_graph, Val};
+    use rand_chacha::ChaCha8Rng;
+
+    /// Every step broadcasts, so the arena's senders record step order.
+    #[derive(Clone)]
+    struct Ping;
+
+    impl Protocol for Ping {
+        type Message = Val;
+        type Output = u64;
+        fn step(
+            &mut self,
+            ctx: &NodeContext<'_>,
+            _inbox: &[Envelope<Val>],
+            outbox: &mut Outbox<Val>,
+            _rng: &mut ChaCha8Rng,
+        ) -> Action<u64> {
+            outbox.broadcast(ctx.neighbors.iter(), Val(ctx.round));
+            Action::Continue
+        }
+    }
+
+    #[test]
+    fn due_nodes_step_in_node_order_under_a_heterogeneous_plan() {
+        // Every third node steps every third tick, the rest every tick.
+        // At tick 3 the ring hands back the slow nodes (pushed at tick 0)
+        // before the fast ones (pushed at tick 2); they must still step
+        // in node order.
+        let n = 12;
+        let g = line_graph(n);
+        let clocks = ClockPlan::Stratified {
+            every: 3,
+            period: 3,
+        };
+        let mut shard = Shard::new(0, vec![Ping; n], vec![false; n], 7, clocks);
+        for tick in 0..10 {
+            shard.open(tick, &g);
+            let senders: Vec<u32> = shard.honest.drain().map(|e| e.from.0).collect();
+            assert!(senders.is_sorted(), "tick {tick}: {senders:?}");
+            let mut stepped = senders;
+            stepped.dedup();
+            let due = (0..n as u32).filter(|v| tick % 3 == 0 || v % 3 != 0);
+            assert_eq!(stepped, due.collect::<Vec<_>>(), "tick {tick}");
         }
     }
 }

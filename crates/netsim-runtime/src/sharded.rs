@@ -51,14 +51,16 @@
 //!
 //! ## Clocks and sparse ticking
 //!
-//! Under a synchronous plan every live node steps every tick and the
-//! shards schedule no step events: their calendar queues hold only
-//! deferred deliveries.  Under a heterogeneous plan each node's step is a
-//! self-rescheduling queue event, and when nothing is due at the next
-//! ticks the engine jumps straight to the earliest event of any shard,
-//! bulk-replaying the idle ticks' accounting so the result stays
-//! byte-identical to dense execution ([`step_tick`](ShardedEngine::step_tick)
-//! in a loop).
+//! A shard defers through the ring [`SyncEngine`] uses, a
+//! [`DelayRing`](crate::DelayRing).  Under a synchronous plan every live
+//! node steps every tick and a shard keeps one ring, of delayed envelopes.
+//! Under a heterogeneous plan a second ring holds each node's next step (a
+//! node that steps is pushed back, due one period later), and when nothing
+//! is due at the next ticks the engine jumps straight to the earliest due
+//! tick of any shard's rings
+//! ([`DelayRing::next_due`](crate::DelayRing::next_due)), bulk-replaying
+//! the idle ticks' accounting so the result stays byte-identical to dense
+//! execution ([`step_tick`](ShardedEngine::step_tick) in a loop).
 //!
 //! ## Observability
 //!
@@ -671,9 +673,9 @@ where
                     shard.drain();
                     if let Some(rec) = rec {
                         rec.phase_end(s, tick, Phase::DeferredDrain);
-                        rec.gauge(s, tick, Gauge::DelayRingPending, shard.in_flight);
-                        let scheduled = shard.queue.scheduled() as u64;
-                        rec.gauge(s, tick, Gauge::CalendarOccupancy, scheduled);
+                        let pending = shard.deferred.in_flight() as u64;
+                        rec.gauge(s, tick, Gauge::DelayRingPending, pending);
+                        rec.gauge(s, tick, Gauge::CalendarOccupancy, shard.scheduled());
                         emit_metric_deltas(
                             rec,
                             s,
@@ -785,7 +787,9 @@ where
             }
             EnvelopeFate::Delay(delay) => {
                 self.metrics.record_fault_delay();
-                Some(tick + delay)
+                // A delay past the end of time is past the run: the
+                // envelope expires.
+                Some(tick.saturating_add(delay))
             }
         };
         match &mut self.links {

@@ -15,8 +15,9 @@
 //!   aggregated into log-bucketed histograms with count/sum/p50/p90/p99
 //!   ([`PhaseProfile`]; embedded in bench reports).
 //! * [`CounterSet`] — per-shard monotone counters (messages per phase,
-//!   cross-shard routing volume) and high-water gauges (arena sizes,
-//!   calendar-queue occupancy).
+//!   cross-shard routing volume) and high-water gauges (arena sizes, and
+//!   `calendar_occupancy`: a shard's delayed envelopes plus pending node
+//!   steps).
 //! * [`TraceWriter`] — an NDJSON stream of Chrome-trace-event-compatible
 //!   span/counter records.  Timestamps are *logical* (a deterministic
 //!   event ordinal), never wall clock, so a trace file is byte-identical

@@ -146,7 +146,9 @@ pub enum Gauge {
     HonestArenaHighWater,
     /// High-water mark of the Byzantine-default envelope arena.
     ByzArenaHighWater,
-    /// Events resident in the async engine's calendar queue.
+    /// Items waiting in a shard's deferral rings: delayed envelopes plus,
+    /// under a heterogeneous clock plan, pending node steps.  (The name
+    /// predates the rings and stays, as trace vocabulary.)
     CalendarOccupancy,
     /// Envelopes parked in the delay ring.
     DelayRingPending,

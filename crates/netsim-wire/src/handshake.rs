@@ -72,6 +72,13 @@ pub struct ShardAssignment {
     pub payload: Vec<u8>,
 }
 
+impl ShardAssignment {
+    /// The assigned node range, `start..end`.
+    pub fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
 impl Wire for ShardAssignment {
     fn encode(&self, out: &mut Vec<u8>) {
         self.start.encode(out);

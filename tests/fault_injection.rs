@@ -234,6 +234,59 @@ fn partially_expiring_delays_conserve_the_delayed_count() {
     );
 }
 
+#[test]
+fn delays_that_saturate_the_tick_counter_expire_on_every_layout() {
+    // Regression: a composed delay saturates at `u64::MAX`, and the due
+    // tick `tick + delay` overflowed.  Debug builds panicked on every
+    // engine; release builds wrapped the due tick into the past, so the
+    // sharded layouts panicked and the distributed one lost its worker
+    // while the reference engine finished.  A deferral past the end of
+    // time is past the run: every delayed envelope expires, and every
+    // layout reports the same run.
+    let max = FaultSpec::Delay {
+        max_delay: u64::MAX,
+        rate: 0.5,
+    };
+    let spec = Simulation::builder()
+        .topology(TopologySpec::SmallWorldH { n: 128, d: 6 })
+        .workload(WorkloadSpec::GeometricSupport {
+            ttl: None,
+            attack: AttackSpec::None,
+        })
+        .fault(FaultSpec::Compose(vec![max.clone(), max]))
+        .seed(42)
+        .build()
+        .expect("the spec validates")
+        .spec()
+        .clone();
+    let normalized = |engine: EngineSpec| {
+        let mut spec = spec.clone();
+        spec.engine = engine;
+        let mut report =
+            byzcount::sim::execute(&spec).unwrap_or_else(|e| panic!("{engine:?}: {e}"));
+        report.spec.engine = EngineSpec::Sync;
+        report
+    };
+    let reference = normalized(EngineSpec::Sync);
+    assert!(reference.messages_delayed > 0);
+    assert_eq!(reference.messages_expired, reference.messages_delayed);
+    for engine in [
+        EngineSpec::Sharded { shards: 2 },
+        EngineSpec::asynchronous(),
+        EngineSpec::ShardedAsync {
+            shards: 3,
+            clocks: ClockPlan::Uniform,
+        },
+        EngineSpec::Distributed { shards: 2 },
+    ] {
+        assert_eq!(
+            normalized(engine).to_json(),
+            reference.to_json(),
+            "{engine:?} must report what the reference engine reports"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

@@ -78,8 +78,8 @@ fn golden_v4_async_spec_report_is_byte_stable() {
 #[test]
 fn golden_v5_sharded_async_spec_report_is_byte_stable() {
     // A version-5 spec on the sharded-async engine (S = 4, stratified
-    // clocks) plus loss + delay faults: locks the per-shard calendar
-    // queues, the cross-shard routing order and the sparse-ticking
+    // clocks) plus loss + delay faults: locks the per-shard deferral
+    // rings, the cross-shard routing order and the sparse-ticking
     // accounting byte-for-byte against the unsharded async semantics.
     let raw = fixture("run_spec_v5_sharded_async.json");
     assert!(raw.contains("\"ShardedAsync\""));

@@ -260,54 +260,61 @@ proptest! {
         prop_assert_eq!(&parsed, &spec);
     }
 
-    /// Event-queue tie-break total order: permuting the insertion order of
-    /// equal-time events with distinct `(class, node)` keys never changes
-    /// the drain order — the order is the key, not the push history.
+    /// `DelayRing` against a `BTreeMap` model: a random schedule of pushes
+    /// (due now, near, across ring growth, past the ring's 4,096-tick cap,
+    /// at `u64::MAX`, and onto ticks that already hold items) and drains at increasing ticks that skip ahead
+    /// as sparse ticking does, never past a due tick.  Every drain hands
+    /// back exactly the model's items for its tick, in push order, and
+    /// `in_flight()` and `next_due()` agree with the model after every
+    /// step.
     #[test]
-    fn calendar_queue_drain_order_is_insertion_order_invariant(
-        tick in 0u64..5000,
-        raw_events in proptest::collection::vec(any::<u64>(), 1..40),
-        swaps in proptest::collection::vec(any::<u64>(), 0..40),
+    fn delay_ring_matches_a_btreemap_model(
+        start in 0u64..10_000,
+        ops in proptest::collection::vec(any::<u64>(), 1..300),
     ) {
-        use byzcount::runtime::{CalendarQueue, EventClass};
-        let class_of = |c: u8| match c {
-            0 => EventClass::NodeStep,
-            _ => EventClass::Deliver,
-        };
-        // Dedup to distinct (class, node) keys: `seq` (the final
-        // tie-break) is deliberately insertion-ordered, so only events
-        // distinct in the other components are permutation-invariant.
-        let mut events: Vec<(u8, u32)> = raw_events
-            .iter()
-            .map(|&x| ((x % 2) as u8, ((x / 2) % 64) as u32))
-            .collect();
-        events.sort_unstable();
-        events.dedup();
-        // A fuzzed permutation of the insertion order.
-        let mut permuted = events.clone();
-        for &s in &swaps {
-            let a = (s as usize) % permuted.len();
-            let b = ((s >> 32) as usize) % permuted.len();
-            permuted.swap(a, b);
-        }
-        let drain = |order: &[(u8, u32)]| {
-            let mut q: CalendarQueue<(u8, u32)> = CalendarQueue::new();
-            for &(class, node) in order {
-                q.push(0, tick, class_of(class), node, (class, node));
+        use byzcount::runtime::DelayRing;
+        use std::collections::BTreeMap;
+        let mut ring: DelayRing<u32> = DelayRing::new();
+        let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        let (mut now, mut next_id) = (start, 0u32);
+        for &op in &ops {
+            let arg = op >> 3;
+            if op % 8 < 5 {
+                let pending: Vec<u64> = model.keys().copied().collect();
+                let due = match arg % 7 {
+                    0 => now,
+                    1 => now.saturating_add(1 + (arg >> 3) % 8),
+                    2 => now.saturating_add(1 + (arg >> 3) % 64),
+                    3 => now.saturating_add(1 + (arg >> 3) % 4096),
+                    4 => now.saturating_add(4096 + (arg >> 3) % 10_000),
+                    5 => u64::MAX,
+                    // A tick that already holds items, which may have
+                    // spilled while it was far out.
+                    _ if pending.is_empty() => now,
+                    _ => pending[(arg >> 3) as usize % pending.len()],
+                };
+                ring.push(now, due, next_id);
+                model.entry(due).or_default().push(next_id);
+                next_id += 1;
+            } else {
+                let mut got = Vec::new();
+                ring.drain_due(now, |id| got.push(id));
+                prop_assert_eq!(got, model.remove(&now).unwrap_or_default());
+                if now == u64::MAX {
+                    break;
+                }
+                // Skip ahead, but never past the next due tick: a short
+                // step, or (like sparse ticking) straight to the next due.
+                let next = model.keys().next().copied();
+                now = match next {
+                    Some(due) if op % 8 == 7 => due,
+                    _ => now.saturating_add(1 + arg % 16).min(next.unwrap_or(u64::MAX)),
+                };
             }
-            let mut out = Vec::new();
-            q.drain_due(tick, |key, payload| out.push((key.class, key.node, payload)));
-            prop_assert!(q.is_empty());
-            Ok(out)
-        };
-        let a = drain(&events)?;
-        let b = drain(&permuted)?;
-        prop_assert_eq!(&a, &b, "drain order must not depend on insertion order");
-        // And the drained sequence is sorted by the (class, node) key.
-        let keys: Vec<_> = a.iter().map(|(c, n, _)| (*c, *n)).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(keys, sorted);
+            let pending: usize = model.values().map(Vec::len).sum();
+            prop_assert_eq!(ring.in_flight(), pending);
+            prop_assert_eq!(ring.next_due(), model.keys().next().copied());
+        }
     }
 
     /// Serde round-trip fuzz for `FaultSpec` on its own (the hand-written

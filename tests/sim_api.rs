@@ -70,7 +70,7 @@ fn determinism_matrix_threads_and_shards_cannot_change_reports() {
     // this genuinely varies both the batch fan-out *and* the sharded
     // engine's lane count, L = min(S, threads), which each run fixes once
     // at its start; engine-internal state (reused inboxes, outboxes, arenas,
-    // per-shard deferred rings, the async calendar queue) must never leak
+    // per-shard deferral rings of delayed envelopes and node steps) must never leak
     // between runs or depend on scheduling.  (Byte-identity *across* the
     // buffer-reuse refactor — old engine vs new — is locked down
     // separately by tests/golden_reports.rs, whose expected files were
