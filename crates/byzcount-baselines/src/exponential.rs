@@ -138,6 +138,12 @@ impl Protocol for ExponentialSupportEstimator {
             Action::Continue
         }
     }
+
+    // Without input, a node acts only at round 0 (draw and broadcast) and
+    // from the TTL on (decide).
+    fn quiescent(&self, round: u64) -> bool {
+        round != 0 && round < self.ttl
+    }
 }
 
 /// Run the estimator over a topology: `byzantine[i]` marks node `i` as

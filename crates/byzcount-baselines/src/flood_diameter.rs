@@ -96,6 +96,12 @@ impl Protocol for FloodDiameterEstimator {
             Action::Continue
         }
     }
+
+    // Without input, a node acts only at round 0 (the leader's flood) and
+    // from the TTL on (decide).
+    fn quiescent(&self, round: u64) -> bool {
+        round != 0 && round < self.ttl
+    }
 }
 
 /// Run the flooding estimator with node 0 as the leader.  The engine stops

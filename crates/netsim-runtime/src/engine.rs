@@ -7,7 +7,10 @@
 //!    previous round and queues its outgoing messages straight into the
 //!    round arena (sequentially, in node order — batch-level rayon
 //!    parallelism lives in the simulation API one level up; every node
-//!    still has its own RNG stream, so the schedule is deterministic);
+//!    still has its own RNG stream, so the schedule is deterministic).
+//!    Every live node steps, even one whose protocol declares the step
+//!    a no-op: this engine never consults [`Protocol::quiescent`], so it
+//!    is the reference that checks the sharded layouts' skipping;
 //! 2. the full-information adversary inspects every state and every queued
 //!    message and may replace the Byzantine nodes' messages;
 //! 3. messages are validated against the topology (no edge → dropped),
@@ -163,8 +166,9 @@ impl<O> RunResult<O> {
 /// allocation on the honest path:
 ///
 /// * `inboxes` holds the messages consumed this round; `next_inboxes`
-///   receives this round's deliveries.  The two are swapped at the round
-///   boundary and the stale side is cleared with its capacity kept.
+///   receives this round's deliveries.  Each inbox is cleared, capacity
+///   kept, right after its node's turn, and the two are swapped at the
+///   round boundary.
 /// * `honest` / `byz_default` are the round arenas, each an [`Outbox`]
 ///   the engine opens every node's turn on (Byzantine nodes on
 ///   `byz_default`): nodes queue envelopes straight into them, the
@@ -440,20 +444,24 @@ where
         // microseconds, less than handing nodes to other threads every
         // round would cost, so parallelism lives one level up, across the
         // runs of a batch.
+        //
+        // Each inbox is released right after its node's turn, crashed
+        // nodes' included, so the round boundary has nothing left to clear.
         {
-            let inboxes = &self.inboxes;
             let topology = self.topology;
             let statuses = &self.statuses;
             let outputs = &self.outputs;
-            for (i, ((state, rng), action)) in self
+            for (i, (((state, rng), action), inbox)) in self
                 .states
                 .iter_mut()
                 .zip(self.rngs.iter_mut())
                 .zip(self.actions.iter_mut())
+                .zip(self.inboxes.iter_mut())
                 .enumerate()
             {
                 if statuses[i] == NodeStatus::Crashed {
                     *action = Action::Continue;
+                    inbox.clear();
                     continue;
                 }
                 let id = NodeId::from_index(i);
@@ -469,7 +477,8 @@ where
                     neighbors: topology.neighbors(id),
                     decided: outputs[i].is_some(),
                 };
-                *action = state.step(&ctx, &inboxes[i], outbox, rng);
+                *action = state.step(&ctx, inbox, outbox, rng);
+                inbox.clear();
             }
         }
 
@@ -602,11 +611,9 @@ where
         }
 
         // Round boundary: this round's deliveries become next round's
-        // inboxes; the consumed side is cleared with its capacity kept.
+        // inboxes, and the side consumed in phase 1 (already cleared,
+        // capacity kept) receives the next round's deliveries.
         std::mem::swap(&mut self.inboxes, &mut self.next_inboxes);
-        for inbox in &mut self.next_inboxes {
-            inbox.clear();
-        }
 
         self.round += 1;
         !self.finished()

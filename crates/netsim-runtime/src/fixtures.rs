@@ -71,6 +71,12 @@ impl Protocol for MaxFlood {
             Action::Continue
         }
     }
+
+    // Once started, an empty inbox improves nothing, so only the decision
+    // at the TTL acts without input.
+    fn quiescent(&self, round: u64) -> bool {
+        self.started && round < self.ttl
+    }
 }
 
 pub(crate) fn line_graph(n: usize) -> Csr {

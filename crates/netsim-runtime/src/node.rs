@@ -149,6 +149,30 @@ pub trait Protocol: Send + Sized {
         outbox: &mut Outbox<Self::Message>,
         rng: &mut ChaCha8Rng,
     ) -> Action<Self::Output>;
+
+    /// Whether [`step`](Self::step) at `round` would be a no-op on an
+    /// empty inbox.
+    ///
+    /// Returning `true` promises that, in this state, `step` at `round`
+    /// with an empty inbox would leave the state unchanged, draw nothing
+    /// from the RNG, queue nothing and return [`Action::Continue`].  The
+    /// promise holds for that one round; the engine asks again every
+    /// round.  Under it the [`ShardedEngine`](crate::ShardedEngine) skips
+    /// such a node's step whenever its mailbox is empty: the call being
+    /// elided would have changed nothing and consumed no randomness, so
+    /// every later step and every result is bit-identical.
+    ///
+    /// The [`SyncEngine`](crate::SyncEngine) never consults this method:
+    /// it steps every live node every round, the model done literally, and
+    /// it is the reference every parity suite compares the other layouts
+    /// against.  A `true` that breaks the promise therefore shows up as a
+    /// parity failure.  Protocols that act without input (bootstraps,
+    /// timers, per-round coin flips) keep the default `false` for those
+    /// rounds.
+    fn quiescent(&self, round: u64) -> bool {
+        let _ = round;
+        false
+    }
 }
 
 #[cfg(test)]

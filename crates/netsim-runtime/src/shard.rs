@@ -216,8 +216,18 @@ impl<P: Protocol> Shard<P> {
         }
     }
 
+    /// Step one due node.  A crashed node is not stepped, and neither is a
+    /// node with an empty mailbox whose state is
+    /// [`quiescent`](Protocol::quiescent) at this tick: that step would
+    /// change nothing, draw nothing and queue nothing.
+    ///
+    /// Inlined into both loops of [`open`](Self::open), so a skipped node
+    /// costs its checks and no call.
+    #[inline(always)]
     fn step<T: Topology>(&mut self, local: usize, topology: &T) {
-        if self.statuses[local] == NodeStatus::Crashed {
+        if self.statuses[local] == NodeStatus::Crashed
+            || (self.mailboxes[local].is_empty() && self.states[local].quiescent(self.tick))
+        {
             return;
         }
         let id = NodeId::from_index(self.start + local);
@@ -388,6 +398,68 @@ mod tests {
         ) -> Action<u64> {
             outbox.broadcast(ctx.neighbors.iter(), Val(ctx.round));
             Action::Continue
+        }
+    }
+
+    /// Counts its own steps, and declares itself quiescent once it has
+    /// stepped.  The count is a probe that breaks the quiescence promise
+    /// on purpose, so that a skipped step shows.
+    #[derive(Clone)]
+    struct Counted {
+        steps: u64,
+    }
+
+    impl Protocol for Counted {
+        type Message = Val;
+        type Output = u64;
+        fn step(
+            &mut self,
+            _ctx: &NodeContext<'_>,
+            _inbox: &[Envelope<Val>],
+            _outbox: &mut Outbox<Val>,
+            _rng: &mut ChaCha8Rng,
+        ) -> Action<u64> {
+            self.steps += 1;
+            Action::Continue
+        }
+
+        fn quiescent(&self, _round: u64) -> bool {
+            self.steps > 0
+        }
+    }
+
+    #[test]
+    fn only_quiescent_nodes_with_empty_mailboxes_are_skipped() {
+        // Under the second plan every node is due every second tick, so a
+        // node skipped at one due tick must still be due at the next.
+        let n = 6;
+        let g = line_graph(n);
+        let plans = [
+            ClockPlan::Uniform,
+            ClockPlan::Stratified {
+                every: 1,
+                period: 2,
+            },
+        ];
+        for clocks in plans {
+            let mut shard = Shard::new(0, vec![Counted { steps: 0 }; n], vec![false; n], 7, clocks);
+            shard.keep_pristine();
+            let steps = |shard: &Shard<Counted>| -> Vec<u64> {
+                shard.states.iter().map(|state| state.steps).collect()
+            };
+            shard.open(0, &g);
+            assert_eq!(steps(&shard), [1; 6], "{clocks:?}: first steps");
+            shard.open(2, &g);
+            assert_eq!(steps(&shard), [1; 6], "{clocks:?}: all quiescent, no mail");
+            shard.accept(None, Envelope::new(NodeId(1), NodeId(2), Val(0)));
+            shard.open(4, &g);
+            assert_eq!(steps(&shard), [1, 1, 2, 1, 1, 1], "{clocks:?}: mail");
+            // Node 4 recovers with its pristine, not quiescent, state.
+            shard
+                .apply_churn(&[(4, CHURN_CRASH), (4, CHURN_RECOVER)])
+                .unwrap();
+            shard.open(6, &g);
+            assert_eq!(steps(&shard), [1, 1, 2, 1, 1, 1], "{clocks:?}: recovery");
         }
     }
 

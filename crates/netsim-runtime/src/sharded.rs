@@ -11,7 +11,10 @@
 //! 1. **churn** — the fault plan is consulted globally, in plan order;
 //!    effective events go to the owning shards;
 //! 2. **node step** — every shard steps its due nodes and applies their
-//!    actions.  In-process shards step on persistent shard threads:
+//!    actions, skipping a node whose mailbox is empty and whose state
+//!    declares the step a no-op ([`Protocol::quiescent`]; only this
+//!    engine consults it, so [`SyncEngine`] checks every declaration).
+//!    In-process shards step on persistent shard threads:
 //!    [`run`](ShardedEngine::run) fixes `L = min(S, threads)` lanes once
 //!    per run (the rayon shim's [`rayon::current_num_threads`], looked up
 //!    only when `S ≥ 2`).  Lane 0 is the engine thread; lanes `1..L` are
@@ -87,7 +90,9 @@ use netsim_trace::{Counter, Gauge, Phase, Recorder, SHARD_ROUTER};
 use netsim_wire::{duplex, Wire, WireError, WireHello, SPEC_VERSION_ANY};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender, TryRecvError};
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 /// Which engine drives a run.
@@ -300,6 +305,30 @@ fn wait_handover<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
         std::thread::yield_now();
     }
     rx.recv()
+}
+
+/// The payload the engine thread unwinds with when a hand-over fails.  A
+/// lane's channel ends drop only when its thread ends, and inside a run a
+/// lane's thread ends only by panicking, so [`ShardedEngine::drive`]
+/// answers this payload by joining the lanes and resuming that panic.
+struct LaneLost;
+
+/// A hand-over to or from a lane failed; see [`LaneLost`].  Unwinds
+/// without the panic hook, so stderr shows only the lane's own panic.
+fn lane_lost() -> ! {
+    resume_unwind(Box::new(LaneLost))
+}
+
+/// Join `threads`, which the engine no longer talks to, and resume the
+/// first panic among them in spawn order, so a run whose shard thread
+/// panicked ends with that thread's own payload, as it would have on the
+/// caller's thread.
+fn join_resuming_panics<T>(threads: Vec<ScopedJoinHandle<'_, T>>) {
+    for thread in threads {
+        if let Err(panic) = thread.join() {
+            resume_unwind(panic);
+        }
+    }
 }
 
 /// The engine's end of a spawned shard thread (lanes `1..L`).  The lane
@@ -577,15 +606,15 @@ where
                 for lane in self.lanes.iter_mut().rev() {
                     let mut group = std::mem::take(&mut lane.spare);
                     group.extend(shards.drain(lane.first..));
-                    lane.work
-                        .send((tick, group))
-                        .expect("a shard lane panicked");
+                    if lane.work.send((tick, group)).is_err() {
+                        lane_lost();
+                    }
                 }
                 for (s, shard) in shards.iter_mut().enumerate() {
                     step_shard(s, shard, tick, self.topology, rec);
                 }
                 for lane in &mut self.lanes {
-                    let mut group = wait_handover(&lane.done).expect("a shard lane panicked");
+                    let mut group = wait_handover(&lane.done).unwrap_or_else(|_| lane_lost());
                     shards.append(&mut group);
                     lane.spare = group;
                 }
@@ -883,27 +912,35 @@ where
             self.links = Links::Remote(Remote::new(chans));
             return self.drive(1);
         }
-        // Pipe workers return `Result` and never panic; when the
-        // coordinator errors out, dropping its channel ends gives every
-        // worker EOF and the scope joins cleanly.
+        // Pipe workers run `Shard` code, which can panic (a protocol's own
+        // assertion, say).  A worker that panics drops its channel end, so
+        // the coordinator sees it as lost and ends the conversation.  The
+        // closure below owns every coordinator end, so once it returns
+        // every other worker reads EOF, and joining them surfaces the
+        // panic itself rather than the lost channel.
         let topology = self.topology;
         let hello = WireHello::current(SPEC_VERSION_ANY);
         std::thread::scope(|scope| {
             let mut chans: Vec<Box<dyn Channel>> = Vec::with_capacity(shards.len());
+            let mut workers = Vec::with_capacity(shards.len());
             for shard in shards {
                 let (coord, mut worker) = duplex();
                 let hello = hello.clone();
-                scope.spawn(move || -> Result<(), WireError> {
+                workers.push(scope.spawn(move || -> Result<(), WireError> {
                     pipe_hello(&mut worker, &hello)?;
                     serve(topology, shard, &mut worker)
-                });
+                }));
                 chans.push(Box::new(coord));
             }
-            for (s, chan) in chans.iter_mut().enumerate() {
-                pipe_hello(chan, &hello).map_err(lost(s, "hello"))?;
-            }
-            self.links = Links::Remote(Remote::new(chans));
-            self.drive(1)
+            let run = (move || {
+                for (s, chan) in chans.iter_mut().enumerate() {
+                    pipe_hello(chan, &hello).map_err(lost(s, "hello"))?;
+                }
+                self.links = Links::Remote(Remote::new(chans));
+                self.drive(1)
+            })();
+            join_resuming_panics(workers);
+            run
         })
     }
 
@@ -911,19 +948,22 @@ where
     /// threads (clamped to `1..=S`): the engine thread, plus `lanes - 1`
     /// spawned here for the whole run.  Each side of a hand-over waits in
     /// [`wait_handover`]: it polls and yields for a bounded window, then
-    /// blocks.  A panic on any lane ends the run with a panic: a lane that
-    /// dies drops its channel ends, so the engine's next hand-over fails,
-    /// and an engine that unwinds drops its own ends, so every lane's wait
-    /// fails and the scope joins.
+    /// blocks.  A panic on any lane ends the run with that panic's own
+    /// payload, as [`SyncEngine`] would end it: a lane that dies drops its
+    /// channel ends, so the engine's next hand-over fails and unwinds with
+    /// [`LaneLost`]; the engine then drops its own ends, so every other
+    /// lane's wait fails, joins the lanes and resumes the lane's panic.  A
+    /// panic on the engine thread itself is resumed as it is.
     fn drive(mut self, lanes: usize) -> Result<RunResult<P::Output>, RunError> {
         std::thread::scope(|scope| {
+            let mut threads = Vec::new();
             if let Links::Local(shards) = &self.links {
                 let groups = shard_bounds(shards.len(), lanes);
                 for w in groups.windows(2).skip(1) {
                     let (work, inbox) = sync_channel(1);
                     let (outbox, done) = sync_channel(1);
                     let (first, topology, rec) = (w[0], self.topology, self.recorder);
-                    scope.spawn(move || {
+                    threads.push(scope.spawn(move || {
                         while let Ok((tick, mut group)) = wait_handover(&inbox) {
                             for (s, shard) in (first..).zip(&mut group) {
                                 step_shard(s, shard, tick, topology, rec);
@@ -932,7 +972,7 @@ where
                                 return;
                             }
                         }
-                    });
+                    }));
                     let spare = Vec::with_capacity(w[1] - w[0]);
                     self.lanes.push(Lane {
                         first,
@@ -942,8 +982,22 @@ where
                     });
                 }
             }
-            while !self.finished() {
-                self.advance()?;
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                while !self.finished() {
+                    self.advance()?;
+                }
+                Ok(())
+            }));
+            match run {
+                Ok(run) => run?,
+                Err(panic) => {
+                    // Dropping the engine's ends ends every live lane's wait.
+                    self.lanes.clear();
+                    if panic.is::<LaneLost>() {
+                        join_resuming_panics(threads);
+                    }
+                    resume_unwind(panic)
+                }
             }
             self.into_result()
         })
@@ -1386,22 +1440,42 @@ mod tests {
         }
     }
 
+    /// The message of the panic `run` must end with (empty when the
+    /// payload is not a `String`, as `assert!` with arguments makes).
+    fn panic_message<R>(run: impl FnOnce() -> R) -> String {
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .err()
+            .expect("the run must panic");
+        panic.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
     #[test]
     fn a_panicking_shard_ends_the_run_with_a_panic_on_any_lane() {
-        // Nine nodes over three shards and three lanes: node 7 lives in
-        // shard 2, stepped on a spawned lane; node 1 in shard 0, stepped on
-        // the engine thread while the other lanes step theirs.  Either way
-        // the run must end in a panic, and not hang.
+        // Nine nodes over three shards.  Node 7 lives in shard 2: on three
+        // lanes it steps on a spawned one.  Node 1 lives in shard 0: it
+        // steps on the engine thread while the other lanes step theirs.
+        // On the reference engine, on every lane count and behind pipes,
+        // the run must end with the protocol's own panic, and not hang.
         let (n, cfg) = (9, EngineConfig::default());
         let g = line_graph(n);
         for node in [7, 1] {
             let states = vec![PanicAt { node, tick: 3 }; n];
-            let layout = in_process(3, ClockPlan::Uniform).unwrap();
-            let engine =
-                ShardedEngine::new(&g, states, vec![false; n], NullAdversary, cfg, 1, layout);
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.drive(3)));
-            assert!(outcome.is_err(), "node {node}: the run must panic");
+            let sync = SyncEngine::new(&g, states.clone(), vec![false; n], NullAdversary, cfg, 1);
+            let engine = |layout| {
+                let byzantine = vec![false; n];
+                ShardedEngine::new(&g, states.clone(), byzantine, NullAdversary, cfg, 1, layout)
+            };
+            let sharded = || engine(in_process(3, ClockPlan::Uniform).unwrap());
+            let messages = [
+                ("sync", panic_message(|| sync.run())),
+                ("1 lane", panic_message(|| sharded().drive(1))),
+                ("2 lanes", panic_message(|| sharded().drive(2))),
+                ("3 lanes", panic_message(|| sharded().drive(3))),
+                ("pipes", panic_message(|| engine(piped(3).unwrap()).run())),
+            ];
+            for (label, message) in messages {
+                assert_eq!(message, format!("node {node} fails at tick 3"), "{label}");
+            }
         }
     }
 

@@ -517,6 +517,12 @@ impl Protocol for FuzzFlood {
             Action::Continue
         }
     }
+
+    // Once started, an empty inbox improves nothing, so only the decision
+    // at the TTL acts without input.
+    fn quiescent(&self, round: u64) -> bool {
+        self.started && round < self.ttl
+    }
 }
 
 /// Ring topology: every node has two neighbors, so floods cross the whole
@@ -547,6 +553,26 @@ fn fuzz_states(n: usize, ttl: u64) -> Vec<FuzzFlood> {
             started: false,
         })
         .collect()
+}
+
+/// [`FuzzFlood`] without its [`Protocol::quiescent`] declaration: every
+/// engine steps it every round, quiet or not.
+#[derive(Clone)]
+struct NeverQuiescent(FuzzFlood);
+
+impl Protocol for NeverQuiescent {
+    type Message = FuzzVal;
+    type Output = u64;
+
+    fn step(
+        &mut self,
+        ctx: &NodeContext<'_>,
+        inbox: &[Envelope<FuzzVal>],
+        outbox: &mut Outbox<FuzzVal>,
+        rng: &mut rand_chacha::ChaCha8Rng,
+    ) -> Action<u64> {
+        self.0.step(ctx, inbox, outbox, rng)
+    }
 }
 
 proptest! {
@@ -636,6 +662,61 @@ proptest! {
             prop_assert_eq!(&result.statuses, &expected.statuses, "{:?}", layout);
             prop_assert_eq!(&result.metrics, &expected.metrics, "{:?}", layout);
             prop_assert_eq!(result.completed, expected.completed, "{:?}", layout);
+        }
+    }
+
+    /// Skipping quiescent nodes is invisible: `FuzzFlood` declares its
+    /// quiet rounds quiescent, so the sharded layouts skip its idle steps,
+    /// and `NeverQuiescent` is the same protocol stepped every round.  On
+    /// the reference engine, in-process shards under every clock-plan
+    /// shape, and pipe workers, and under every fault shape (churn
+    /// included), the two give identical results.
+    #[test]
+    fn skipping_quiescent_nodes_is_invisible_on_every_layout(
+        seed in any::<u64>(),
+        n in 4usize..24,
+        shards in 1usize..5,
+        every in 2u32..6,
+        period in 2u32..9,
+        fault_shape in 0u8..10,
+        rate_milli in 0u64..400,
+        rounds in any::<u64>(),
+        nested in proptest::option::of(0u8..1),
+    ) {
+        let g = ring_graph(n);
+        let cfg = EngineConfig { max_rounds: 600, stop_when_all_decided: true };
+        let fault = fault_spec_from(fault_shape, rate_milli, rounds, nested.is_some());
+        let exec = |engine| Exec {
+            engine,
+            fault_plan: fault.build_plan(n, &vec![true; n], seed ^ 0xFA17),
+            ..Exec::default()
+        };
+        let skipping = |engine| run_with_engine(
+            &g, fuzz_states(n, 120), vec![false; n], NullAdversary, cfg, seed, exec(engine),
+        ).expect("pipes never fail");
+        let stepping = |engine| run_with_engine(
+            &g,
+            fuzz_states(n, 120).into_iter().map(NeverQuiescent).collect(),
+            vec![false; n],
+            NullAdversary,
+            cfg,
+            seed,
+            exec(engine),
+        ).expect("pipes never fail");
+        let engines = [EngineKind::Sync, EngineKind::Sharded { shards }, EngineKind::Distributed { shards }]
+            .into_iter()
+            .chain((0..4).map(|shape| EngineKind::ShardedAsync {
+                shards,
+                clocks: clock_plan_from(shape, every, period),
+            }));
+        for engine in engines {
+            let (a, b) = (skipping(engine), stepping(engine));
+            prop_assert_eq!(&a.outputs, &b.outputs, "{:?}", engine);
+            prop_assert_eq!(&a.decided_round, &b.decided_round, "{:?}", engine);
+            prop_assert_eq!(&a.crashed, &b.crashed, "{:?}", engine);
+            prop_assert_eq!(&a.statuses, &b.statuses, "{:?}", engine);
+            prop_assert_eq!(&a.metrics, &b.metrics, "{:?}", engine);
+            prop_assert_eq!(a.completed, b.completed, "{:?}", engine);
         }
     }
 }
