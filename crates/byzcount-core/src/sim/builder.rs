@@ -172,6 +172,11 @@ impl PreparedRun {
         &self.byzantine
     }
 
+    /// The materialized topology.
+    pub fn topology(&self) -> &crate::sim::spec::BuiltTopology {
+        &self.topology
+    }
+
     /// Execute the workload (node construction + round loop) and assemble
     /// the report.  Deterministic: every call returns the same report.
     pub fn execute(&self, registry: &dyn ScenarioRegistry) -> Result<RunReport, SimError> {
