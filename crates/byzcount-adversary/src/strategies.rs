@@ -6,7 +6,7 @@
 //! differ in what they make the Byzantine nodes send.
 
 use crate::knowledge::AdversaryKnowledge;
-use byzcount_core::{Color, CountingMessage, CountingNode, Position, MAX_COLOR};
+use byzcount_core::{Color, CountingMessage, CountingNode, FloodPath, Position, MAX_COLOR};
 use netsim_runtime::{Adversary, AdversaryDecision, AdversaryView, Envelope};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -97,16 +97,13 @@ impl ColorInflationAdversary {
         let k = self.knowledge.params.k;
         let mut msgs = Vec::new();
         for info in &self.knowledge.byzantine {
-            let path: Vec<u32> = if fabricate_path {
+            let path = if fabricate_path {
                 // Claim the color travelled through our first k−1 G-neighbours;
                 // those are honest nodes whose audit logs will refute us.
-                info.g_neighbors
-                    .iter()
-                    .copied()
-                    .take(k.saturating_sub(1))
-                    .collect()
+                let claimed = k.saturating_sub(1).min(info.g_neighbors.len());
+                FloodPath::from(&info.g_neighbors[..claimed])
             } else {
-                Vec::new()
+                FloodPath::new()
             };
             for &h in &info.h_neighbors {
                 msgs.push(Envelope::new(

@@ -20,8 +20,8 @@
 //!   itself, or a neighbour stays silent — then somebody is lying and `v`
 //!   crashes itself rather than risk being fed a fabricated chain.
 
+use netsim_graph::RowCursor;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Result of one node's neighbourhood reconstruction.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -38,10 +38,34 @@ pub struct DiscoveryOutcome {
     pub missing_reports: usize,
 }
 
+/// Align adjacency reports with `row`, a node's sorted neighbour row (it
+/// may repeat an id, as an `H(n, d)` multigraph row does), for
+/// [`reconstruct`]: slot `i` borrows the report of the neighbour at
+/// `row[i]`, `None` when it sent none.  `reports` are `(sender, list)`
+/// pairs in arrival order.  Every position of a repeated id holds that
+/// neighbour's report, a sender that reported twice is read by its last
+/// report, and reports from nodes outside the row are dropped.
+pub fn align_reports<'r>(
+    row: &[u32],
+    reports: impl IntoIterator<Item = (u32, &'r [u32])>,
+) -> Vec<Option<&'r [u32]>> {
+    let mut aligned = vec![None; row.len()];
+    let mut senders = RowCursor::new();
+    for (sender, list) in reports {
+        aligned[senders.seek(row, sender)].fill(Some(list));
+    }
+    aligned
+}
+
 /// Reconstruct the local `H`-topology of node `me` from its `G`-neighbour
-/// list and the adjacency reports received from those neighbours.
+/// row and the adjacency reports received from those neighbours.
 ///
-/// `reports` maps a neighbour id to the neighbour list it claimed.
+/// `my_neighbors` is `me`'s sorted row (it may repeat an id), and
+/// `reports` is aligned with it as [`align_reports`] builds it: every
+/// position of a repeated id sees that neighbour's report, and a sender's
+/// last report wins.  Within the reports, an id maps to its *last*
+/// position in the row, so each bitset below has one bit per distinct
+/// neighbour.
 ///
 /// Following Lemma 3, the `H`-neighbours are taken to be the maximal
 /// elements of the containment order on `I(u) = N_G(u) ∩ N_G(v)` — the
@@ -51,73 +75,69 @@ pub struct DiscoveryOutcome {
 /// safe direction for the protocol: no true `H`-edge is lost (so flooding
 /// still covers the graph); a few `L`-edges are merely admitted as extra
 /// flooding edges.  Experiment E7 quantifies both error directions.
-pub fn reconstruct(
-    me: u32,
-    my_neighbors: &[u32],
-    reports: &HashMap<u32, Vec<u32>>,
-) -> DiscoveryOutcome {
+///
+/// # Panics
+/// Panics if `reports` is not aligned with `my_neighbors`.
+pub fn reconstruct(me: u32, my_neighbors: &[u32], reports: &[Option<&[u32]>]) -> DiscoveryOutcome {
+    assert_eq!(
+        reports.len(),
+        my_neighbors.len(),
+        "one report slot per row position"
+    );
     let deg = my_neighbors.len();
     if deg == 0 {
         return DiscoveryOutcome::default();
     }
-    // Local index of each neighbour (and of `me`, as the last bit).
-    let local: HashMap<u32, usize> = my_neighbors
-        .iter()
-        .enumerate()
-        .map(|(i, &u)| (u, i))
-        .collect();
     let words = (deg + 1).div_ceil(64);
     let me_bit = deg; // index of `me` in the bitset universe
 
     let mut conflict = false;
     let mut missing_reports = 0usize;
 
-    // Bitset of I(u) = (reported N_G(u) ∪ is `me` listed) ∩ (N_G(v) ∪ {v}).
-    let mut inter: Vec<Vec<u64>> = vec![vec![0u64; words]; deg];
-    let mut reported_sets: Vec<Option<&Vec<u32>>> = vec![None; deg];
-    for (i, &u) in my_neighbors.iter().enumerate() {
-        match reports.get(&u) {
-            Some(list) => {
-                reported_sets[i] = Some(list);
-                let mut lists_me = false;
-                for &x in list {
-                    if x == me {
-                        lists_me = true;
-                        set_bit(&mut inter[i], me_bit);
-                    } else if let Some(&j) = local.get(&x) {
-                        set_bit(&mut inter[i], j);
-                    }
-                }
-                if !lists_me {
-                    // Adjacency is symmetric; omitting `me` is a lie.
-                    conflict = true;
-                }
-            }
-            None => {
-                missing_reports += 1;
-                conflict = true;
+    // Bitset of I(u) = (reported N_G(u) ∪ is `me` listed) ∩ (N_G(v) ∪ {v}),
+    // row `i` at `inter[i * words..]`; a neighbour is the bit of its last
+    // position in the row.
+    let mut inter = vec![0u64; deg * words];
+    let mut ids = RowCursor::new();
+    for (i, report) in reports.iter().enumerate() {
+        let Some(list) = report else {
+            missing_reports += 1;
+            conflict = true;
+            continue;
+        };
+        let bits = &mut inter[i * words..(i + 1) * words];
+        let mut lists_me = false;
+        for &x in *list {
+            if x == me {
+                lists_me = true;
+                set_bit(bits, me_bit);
+            } else if let Some(j) = ids.last(my_neighbors, x) {
+                set_bit(bits, j);
             }
         }
+        if !lists_me {
+            // Adjacency is symmetric; omitting `me` is a lie.
+            conflict = true;
+        }
     }
+    let inter: Vec<&[u64]> = inter.chunks(words).collect();
 
     // Symmetry check between pairs of reporting neighbours: if u lists w but
     // w does not list u (both being our neighbours), the reports conflict.
-    for (i, &u) in my_neighbors.iter().enumerate() {
-        let Some(list_u) = reported_sets[i] else {
-            continue;
-        };
-        for &w in list_u {
-            if w == me {
-                continue;
-            }
-            if let Some(&j) = local.get(&w) {
-                if let Some(list_w) = reported_sets[j] {
-                    if !list_w.contains(&u) {
-                        conflict = true;
-                    }
-                }
-            }
-        }
+    // w lists u exactly when u's bit is set in I(w), so this reads the
+    // bitsets already built: O(deg²), stopping at the first conflict.  It
+    // runs only when every neighbour reported: a missing report is a
+    // conflict already.
+    if !conflict {
+        let mut own = RowCursor::new();
+        conflict = my_neighbors.iter().enumerate().any(|(i, &u)| {
+            let u_bit = if u == me {
+                me_bit
+            } else {
+                own.last(my_neighbors, u).expect("u is in the row")
+            };
+            set_bits(inter[i]).any(|j| j != me_bit && !has_bit(inter[j], u_bit))
+        });
     }
 
     // Containment order: u is deeper than w when I(u) ⊊ I(w), with the two
@@ -129,7 +149,7 @@ pub fn reconstruct(
     let mut dominated_by: Vec<Vec<usize>> = vec![Vec::new(); deg];
     for i in 0..deg {
         for j in 0..deg {
-            if i != j && is_strict_subset_ignoring(&inter[i], &inter[j], i, j) {
+            if i != j && is_strict_subset_ignoring(inter[i], inter[j], i, j) {
                 dominated_by[i].push(j);
             }
         }
@@ -205,6 +225,25 @@ fn set_bit(bits: &mut [u64], idx: usize) {
     bits[idx / 64] |= 1u64 << (idx % 64);
 }
 
+#[inline]
+fn has_bit(bits: &[u64], idx: usize) -> bool {
+    bits[idx / 64] & (1u64 << (idx % 64)) != 0
+}
+
+/// The indices of the set bits, ascending.
+fn set_bits(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
 /// `a ⊊ b` for bitsets of equal width, ignoring positions `skip1`/`skip2`
 /// (the two nodes whose intersections are being compared — see
 /// [`reconstruct`]).
@@ -263,6 +302,7 @@ impl ReconstructionAccuracy {
 mod tests {
     use super::*;
     use netsim_graph::{NodeId, SmallWorldNetwork};
+    use std::collections::HashMap;
 
     /// Build the honest report map for node `v` of a real network.
     fn honest_reports(net: &SmallWorldNetwork, v: NodeId) -> HashMap<u32, Vec<u32>> {
@@ -270,6 +310,17 @@ mod tests {
             .iter()
             .map(|&u| (u, net.g_neighbors(NodeId(u)).to_vec()))
             .collect()
+    }
+
+    /// Reconstruct `v`'s neighbourhood from a report map.
+    fn reconstruct_from(
+        net: &SmallWorldNetwork,
+        v: NodeId,
+        reports: &HashMap<u32, Vec<u32>>,
+    ) -> DiscoveryOutcome {
+        let row = net.g_neighbors(v);
+        let sent = reports.iter().map(|(&u, list)| (u, list.as_slice()));
+        reconstruct(v.0, row, &align_reports(row, sent))
     }
 
     #[test]
@@ -287,7 +338,7 @@ mod tests {
         for i in 0..sample {
             let v = NodeId::from_index(i);
             let reports = honest_reports(&net, v);
-            let out = reconstruct(v.0, net.g_neighbors(v), &reports);
+            let out = reconstruct_from(&net, v, &reports);
             assert!(!out.conflict, "honest reports must never conflict");
             let mut truth: Vec<u32> = net.h_neighbors(v).to_vec();
             truth.dedup();
@@ -306,7 +357,7 @@ mod tests {
         let net = SmallWorldNetwork::generate_seeded(300, 6, 13).unwrap();
         let v = NodeId(5);
         let reports = honest_reports(&net, v);
-        let out = reconstruct(v.0, net.g_neighbors(v), &reports);
+        let out = reconstruct_from(&net, v, &reports);
         assert_eq!(out.depths.len(), net.g_neighbors(v).len());
         // Depths should correlate with the true H-distance: check they never
         // exceed the G-degree bound and that depth-1 nodes dominate the true
@@ -323,7 +374,7 @@ mod tests {
         let mut reports = honest_reports(&net, v);
         let victim = net.g_neighbors(v)[0];
         reports.remove(&victim);
-        let out = reconstruct(v.0, net.g_neighbors(v), &reports);
+        let out = reconstruct_from(&net, v, &reports);
         assert!(out.conflict);
         assert_eq!(out.missing_reports, 1);
     }
@@ -345,7 +396,7 @@ mod tests {
             .expect("k >= 2 guarantees shared neighbours");
         let lying_report: Vec<u32> = liar_list.into_iter().filter(|&x| x != shared).collect();
         reports.insert(liar, lying_report);
-        let out = reconstruct(v.0, net.g_neighbors(v), &reports);
+        let out = reconstruct_from(&net, v, &reports);
         assert!(
             out.conflict,
             "the suppressed neighbour's report must expose the lie"
@@ -366,13 +417,13 @@ mod tests {
             .filter(|&x| x != v.0)
             .collect();
         reports.insert(liar, lying_report);
-        let out = reconstruct(v.0, net.g_neighbors(v), &reports);
+        let out = reconstruct_from(&net, v, &reports);
         assert!(out.conflict);
     }
 
     #[test]
     fn empty_neighborhood_is_harmless() {
-        let out = reconstruct(0, &[], &HashMap::new());
+        let out = reconstruct(0, &[], &[]);
         assert!(!out.conflict);
         assert!(out.h_neighbors.is_empty());
     }

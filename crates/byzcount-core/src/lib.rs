@@ -77,7 +77,7 @@ pub mod sim;
 
 pub use color::{sample_color, Color, MAX_COLOR};
 pub use discovery::{DiscoveryOutcome, ReconstructionAccuracy};
-pub use messages::CountingMessage;
+pub use messages::{CountingMessage, FloodPath};
 pub use node::{CountingNode, Decision};
 pub use outcome::{CountingOutcome, EstimateEvaluation};
 pub use params::ProtocolParams;

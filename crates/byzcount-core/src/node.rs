@@ -29,10 +29,11 @@
 //!   requires.
 
 use crate::color::{sample_color, Color};
-use crate::discovery::{reconstruct, DiscoveryOutcome};
-use crate::messages::CountingMessage;
+use crate::discovery::{align_reports, reconstruct, DiscoveryOutcome};
+use crate::messages::{CountingMessage, FloodPath};
 use crate::params::ProtocolParams;
 use crate::schedule::{PhasePosition, Position, Schedule};
+use netsim_graph::RowCursor;
 use netsim_runtime::{Action, Envelope, NodeContext, Outbox, Protocol};
 use rand_chacha::ChaCha8Rng;
 
@@ -82,11 +83,12 @@ pub struct CountingNode {
     phase_continue: bool,
     /// Audit log for the current subphase, flattened for the hot path:
     /// slot `neighbour_pos · audit_stride + sending_step` holds the highest
-    /// color the `G`-neighbour at `neighbour_pos` (its index in the sorted
-    /// neighbour list) announced forwarding in that step; `0` = nothing
-    /// announced.  Cleared with its capacity kept at every generation step
-    /// — this replaces a per-subphase `HashMap` whose per-audit hashing
-    /// dominated the verifying variant's message processing.
+    /// color the `G`-neighbour at `neighbour_pos` announced forwarding in
+    /// that step; `0` = nothing announced.  A neighbour's position is the
+    /// *first* position of its id in the sorted row (an `H(n, d)` row may
+    /// repeat an id), found by a [`RowCursor`] on both sides: logging an
+    /// audit and looking a relay up.  Cleared with its capacity kept at
+    /// every generation step.
     audit_log: Vec<Color>,
     /// Sending-step slots per neighbour in `audit_log` (steps of the
     /// current subphase; `0` until the first generation step).
@@ -132,21 +134,21 @@ impl CountingNode {
         self.audit_log.resize(neighbor_count * self.audit_stride, 0);
     }
 
-    /// Record that `G`-neighbour `from` announced forwarding `color` in
-    /// flooding step `sending_step` (max-merging repeated announcements).
-    fn log_audit(&mut self, neighbors: &[u32], from: u32, sending_step: u64, color: Color) {
+    /// Record that the `G`-neighbour at `pos` (its first position in the
+    /// sorted row) announced forwarding `color` in flooding step
+    /// `sending_step` (max-merging repeated announcements).
+    fn log_audit(&mut self, pos: usize, sending_step: u64, color: Color) {
         if (sending_step as usize) < self.audit_stride {
-            if let Ok(pos) = neighbors.binary_search(&from) {
-                let slot = pos * self.audit_stride + sending_step as usize;
-                if let Some(entry) = self.audit_log.get_mut(slot) {
-                    *entry = (*entry).max(color);
-                }
+            let slot = pos * self.audit_stride + sending_step as usize;
+            if let Some(entry) = self.audit_log.get_mut(slot) {
+                *entry = (*entry).max(color);
             }
         }
     }
 
-    /// The highest color `relay` (at `relay_pos` in the sorted neighbour
-    /// list) announced for `sending_step`; `0` when nothing was logged.
+    /// The highest color `relay` (at `relay_pos`, its first position in the
+    /// sorted row) announced for `sending_step`; `0` when nothing was
+    /// logged.
     fn audited_color(&self, relay_pos: usize, sending_step: u64) -> Color {
         if (sending_step as usize) < self.audit_stride {
             self.audit_log
@@ -209,13 +211,15 @@ impl CountingNode {
         ctx: &NodeContext<'_>,
         inbox: &[Envelope<CountingMessage>],
     ) -> Action<Decision> {
-        use std::collections::HashMap;
-        let mut reports: HashMap<u32, Vec<u32>> = HashMap::with_capacity(inbox.len());
-        for env in inbox {
-            if let CountingMessage::Adjacency { neighbors } = &env.payload {
-                reports.insert(env.from.0, neighbors.clone());
-            }
-        }
+        let reports = align_reports(
+            ctx.neighbors,
+            inbox.iter().filter_map(|env| match &env.payload {
+                CountingMessage::Adjacency { neighbors } => {
+                    Some((env.from.0, neighbors.as_slice()))
+                }
+                _ => None,
+            }),
+        );
         let outcome = reconstruct(ctx.id.0, ctx.neighbors, &reports);
         let conflict = outcome.conflict;
         self.h_neighbors = outcome.h_neighbors.clone();
@@ -237,7 +241,7 @@ impl CountingNode {
         ctx: &NodeContext<'_>,
         outbox: &mut Outbox<CountingMessage>,
         color: Color,
-        path: Vec<u32>,
+        path: FloodPath,
     ) {
         let flood = CountingMessage::Flood { color, path };
         outbox.broadcast(self.h_neighbors.iter(), flood);
@@ -266,7 +270,7 @@ impl CountingNode {
         if self.decided_phase.is_none() {
             let color = sample_color(rng);
             self.max_sent = color;
-            self.flood(ctx, outbox, color, Vec::new());
+            self.flood(ctx, outbox, color, FloodPath::new());
         }
         Action::Continue
     }
@@ -289,6 +293,7 @@ impl CountingNode {
         if (path.len() as u64) < k - 1 {
             return false;
         }
+        let mut relays = RowCursor::new();
         for (idx, &relay) in path.iter().take((k - 1) as usize).enumerate() {
             let j = idx as u64 + 1; // hops behind the sender
             let sending_step = step - 1 - j;
@@ -299,7 +304,7 @@ impl CountingNode {
                 }
                 continue;
             }
-            let Ok(relay_pos) = ctx.neighbors.binary_search(&relay) else {
+            let Some(relay_pos) = relays.first(ctx.neighbors, relay) else {
                 // A relay within B_H(sender, k−1) is necessarily one of our
                 // G-neighbours; an unknown relay means a fabricated path.
                 return false;
@@ -320,18 +325,23 @@ impl CountingNode {
     ) -> Action<Decision> {
         let step = pos.step;
         // 1. Log audits (they were sent in the previous engine round, i.e.
-        //    flooding step `step − 1`).
+        //    flooding step `step − 1`).  The inbox fills in route order, so
+        //    its senders mostly ascend and the cursor mostly steps forward.
+        let mut senders = RowCursor::new();
         for env in inbox {
             if let CountingMessage::Audit { color } = env.payload {
-                self.log_audit(ctx.neighbors, env.from.0, step - 1, color);
+                if let Some(pos) = senders.first(ctx.neighbors, env.from.0) {
+                    self.log_audit(pos, step - 1, color);
+                }
             }
         }
         // 2. Process floods arriving over (reconstructed) H-edges.
         let mut best: Color = 0;
         let mut best_origin: Option<(u32, &[u32])> = None;
+        let mut h_senders = RowCursor::new();
         for env in inbox {
             if let CountingMessage::Flood { color, path } = &env.payload {
-                if self.h_neighbors.binary_search(&env.from.0).is_err() {
+                if !h_senders.contains(&self.h_neighbors, env.from.0) {
                     // Floods travel along H only; anything else is ignored.
                     continue;
                 }
@@ -348,13 +358,9 @@ impl CountingNode {
         //    left for it to travel.
         if best > self.max_sent && step < pos.phase {
             if let Some((from, path)) = best_origin {
-                let mut new_path = Vec::with_capacity(self.params.k.saturating_sub(1));
-                new_path.push(from);
-                for &p in path.iter().take(self.params.k.saturating_sub(2)) {
-                    new_path.push(p);
-                }
+                let behind = &path[..path.len().min(self.params.k.saturating_sub(2))];
                 self.max_sent = best;
-                self.flood(ctx, outbox, best, new_path);
+                self.flood(ctx, outbox, best, FloodPath::relayed(from, behind));
             }
         }
         // 4. Criterion bookkeeping.
@@ -479,8 +485,8 @@ mod tests {
         // Log audits that corroborate the path: relay 3 sent at step 1,
         // relay 4 (the origin) at step 0.
         node.reset_audit_log(neighbors.len(), 3);
-        node.log_audit(&neighbors, 3, 1, 50);
-        node.log_audit(&neighbors, 4, 0, 50);
+        node.log_audit(2, 1, 50); // relay 3, at position 2
+        node.log_audit(3, 0, 50); // relay 4, at position 3
         assert!(node.verify_color(&c, 50, &[3, 4], 3));
         // A higher color than was attested is rejected.
         assert!(!node.verify_color(&c, 51, &[3, 4], 3));
@@ -524,7 +530,7 @@ mod tests {
                 NodeId(0),
                 CountingMessage::Flood {
                     color: 40,
-                    path: vec![],
+                    path: vec![].into(),
                 },
             ),
             Envelope::new(
@@ -532,7 +538,7 @@ mod tests {
                 NodeId(0),
                 CountingMessage::Flood {
                     color: 5,
-                    path: vec![],
+                    path: vec![].into(),
                 },
             ),
         ];
@@ -581,7 +587,7 @@ mod tests {
             NodeId(0),
             CountingMessage::Flood {
                 color: 10,
-                path: vec![],
+                path: vec![].into(),
             },
         )];
         let mut outbox = Outbox::new();

@@ -254,6 +254,7 @@ impl BuiltTopology {
     }
 
     /// Number of nodes.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             BuiltTopology::SmallWorld(net) => net.len(),
@@ -269,10 +270,12 @@ impl BuiltTopology {
 }
 
 impl Topology for BuiltTopology {
+    #[inline]
     fn len(&self) -> usize {
         BuiltTopology::len(self)
     }
 
+    #[inline]
     fn neighbors(&self, v: NodeId) -> &[u32] {
         match self {
             BuiltTopology::SmallWorld(net) => net.g_neighbors(v),

@@ -45,7 +45,7 @@ pub mod trees;
 pub mod watts_strogatz;
 
 pub use categories::{CategoryCounts, NodeCategories};
-pub use csr::Csr;
+pub use csr::{Csr, RowCursor};
 pub use error::GraphError;
 pub use expansion::{ExpansionEstimate, SpectralEstimate};
 pub use hgraph::HGraph;
@@ -59,7 +59,7 @@ pub use watts_strogatz::WattsStrogatz;
 pub mod prelude {
     pub use crate::bfs::{ball, bfs_distances, boundary, multi_source_distances};
     pub use crate::categories::{CategoryCounts, NodeCategories};
-    pub use crate::csr::Csr;
+    pub use crate::csr::{Csr, RowCursor};
     pub use crate::error::GraphError;
     pub use crate::expansion::{ExpansionEstimate, SpectralEstimate};
     pub use crate::hgraph::HGraph;

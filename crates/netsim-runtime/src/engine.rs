@@ -43,9 +43,9 @@ use crate::message::{Envelope, MessageSize};
 use crate::metrics::RunMetrics;
 use crate::node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
 use crate::ring::DelayRing;
-use crate::topology::Topology;
+use crate::topology::{assert_sorted_rows, Topology};
 use netsim_faults::{ChurnEvent, EnvelopeFate, FaultPlan};
-use netsim_graph::NodeId;
+use netsim_graph::{NodeId, RowCursor};
 use netsim_trace::{Counter, Gauge, Phase, Recorder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -242,7 +242,8 @@ where
     ///
     /// # Panics
     /// Panics if `states.len()` or `byzantine.len()` differ from the
-    /// topology size.
+    /// topology size, or if a row of the topology is not sorted (the
+    /// contract of [`Topology::neighbors`]).
     pub fn new(
         topology: &'a T,
         states: Vec<P>,
@@ -254,6 +255,7 @@ where
         let n = topology.len();
         assert_eq!(states.len(), n, "one protocol state per node required");
         assert_eq!(byzantine.len(), n, "byzantine mask must cover every node");
+        assert_sorted_rows(topology);
         let rngs = (0..n)
             .map(|i| ChaCha8Rng::seed_from_u64(splitmix(seed, i as u64)))
             .collect();
@@ -547,16 +549,18 @@ where
         // Phase 4: validate, account and deliver messages for the next
         // round — honest arena first, then the Byzantine path, exactly the
         // pre-refactor order (the fault plan's RNG stream depends on it).
+        // One edge cursor follows the senders' rows through the pass.
+        let mut edges = RowCursor::new();
         let mut honest = std::mem::take(&mut self.honest);
         for env in honest.drain() {
-            self.deliver(round, env, false);
+            self.deliver(round, env, false, &mut edges);
         }
         self.honest = honest;
         match decision {
             AdversaryDecision::FollowProtocol => {
                 let mut byz = std::mem::take(&mut self.byz_default);
                 for env in byz.drain() {
-                    self.deliver(round, env, false);
+                    self.deliver(round, env, false, &mut edges);
                 }
                 self.byz_default = byz;
             }
@@ -564,7 +568,7 @@ where
                 // The adversary's envelopes stand in for the defaults.
                 self.byz_default.drain();
                 for env in msgs {
-                    self.deliver(round, env, true);
+                    self.deliver(round, env, true, &mut edges);
                 }
             }
         }
@@ -621,14 +625,23 @@ where
     }
 
     /// Validate, account and deliver (or lose / defer) one envelope queued
-    /// in `round`.
-    fn deliver(&mut self, round: u64, env: Envelope<P::Message>, authored_by_adversary: bool) {
+    /// in `round`; `edges` is the routing pass's cursor over the senders'
+    /// rows.
+    #[inline(always)]
+    fn deliver(
+        &mut self,
+        round: u64,
+        env: Envelope<P::Message>,
+        authored_by_adversary: bool,
+        edges: &mut RowCursor,
+    ) {
         if !envelope_admissible(
             self.topology,
             &self.statuses,
             &self.byzantine,
             &env,
             authored_by_adversary,
+            edges,
         ) {
             self.metrics.record_drop();
             return;
@@ -702,29 +715,41 @@ where
     }
 }
 
-/// Shared envelope validation, used verbatim by both engines so the rules
-/// — and in particular the `from_ok` operator-precedence hazard fixed in
-/// PR 1 — live in exactly one place.
+/// Shared envelope validation, used verbatim by both engines (in process
+/// and on the wire coordinator), so the rules live in exactly one place.
 ///
-/// A sender must exist and must not have crashed — a crashed node stays
-/// silent forever, even a Byzantine one.  Adversary-authored envelopes
-/// must additionally claim a Byzantine sender (identity non-forgeability:
-/// the adversary may only speak through the nodes it controls).  The
-/// `(from, to)` pair must be an edge, and the recipient must be alive.
+/// The rules, in order: a sender must exist and must not have crashed — a
+/// crashed node stays silent forever, even a Byzantine one.
+/// Adversary-authored envelopes must additionally claim a Byzantine sender
+/// (identity non-forgeability: the adversary may only speak through the
+/// nodes it controls).  The recipient must exist and be in the sender's
+/// sorted row ([`Topology::neighbors`], the one definition of an edge),
+/// and it must be alive.  The row is read only once the sender checks
+/// pass, so a forged sender id past the end is a counted drop.
+///
+/// `edges` is a [`RowCursor`] the caller carries across one routing pass
+/// (the honest arena, then the Byzantine-default stream or the
+/// adversary's set): the arenas hold their senders in node order and a
+/// broadcast walks its sender's row in order, so the edge test is O(1)
+/// amortized.  The cursor is exact for any order; it only gets slower.
+#[inline(always)]
 pub(crate) fn envelope_admissible<T: Topology, M>(
     topology: &T,
     statuses: &[NodeStatus],
     byzantine: &[bool],
     env: &Envelope<M>,
     authored_by_adversary: bool,
+    edges: &mut RowCursor,
 ) -> bool {
     let n = topology.len();
-    let from_ok = env.from.index() < n
-        && statuses[env.from.index()] != NodeStatus::Crashed
-        && (!authored_by_adversary || byzantine[env.from.index()]);
-    let edge_ok = env.to.index() < n && topology.can_send(env.from, env.to);
-    let to_ok = env.to.index() < n && statuses[env.to.index()] != NodeStatus::Crashed;
-    from_ok && edge_ok && to_ok
+    let (from, to) = (env.from.index(), env.to.index());
+    let from_ok = from < n
+        && statuses[from] != NodeStatus::Crashed
+        && (!authored_by_adversary || byzantine[from]);
+    from_ok
+        && to < n
+        && edges.contains(topology.neighbors(env.from), env.to.0)
+        && statuses[to] != NodeStatus::Crashed
 }
 
 /// SplitMix64-style seed derivation so per-node RNG streams are independent.

@@ -5,6 +5,7 @@ use crate::adversary::{Adversary, AdversaryDecision, AdversaryView};
 use crate::engine::RunResult;
 use crate::message::{Envelope, MessageSize, SizedMessage};
 use crate::node::{Action, NodeContext, Outbox, Protocol};
+use crate::topology::Topology;
 use netsim_faults::{FaultPlan, FaultSpec};
 use netsim_graph::{Csr, NodeId};
 use netsim_wire::{Reader, Wire, WireError};
@@ -27,6 +28,23 @@ impl Wire for Val {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Val(u64::decode(r)?))
+    }
+}
+
+/// A 4-node star whose centre lists its leaves out of order, `[3, 1, 2]`:
+/// it breaks the sorted-row contract of [`Topology::neighbors`].
+pub(crate) struct UnsortedStar;
+
+impl Topology for UnsortedStar {
+    fn len(&self) -> usize {
+        4
+    }
+
+    fn neighbors(&self, v: NodeId) -> &[u32] {
+        match v.0 {
+            0 => &[3, 1, 2],
+            _ => &[0],
+        }
     }
 }
 

@@ -96,8 +96,9 @@ use crate::message::Envelope;
 use crate::metrics::RunMetrics;
 use crate::node::{NodeStatus, Protocol};
 use crate::shard::{Shard, CHURN_CRASH, CHURN_RECOVER, TRANSITION_DECIDED};
-use crate::topology::Topology;
+use crate::topology::{assert_sorted_rows, Topology};
 use netsim_faults::{ChurnEvent, EnvelopeFate, FaultPlan};
+use netsim_graph::RowCursor;
 use netsim_trace::{Counter, Gauge, Phase, Recorder, SHARD_ROUTER};
 use netsim_wire::{duplex, Wire, WireError, WireHello, SPEC_VERSION_ANY};
 use rand::SeedableRng;
@@ -450,7 +451,8 @@ where
     ///
     /// # Panics
     /// Panics if `states.len()` or `byzantine.len()` differ from the
-    /// topology size.
+    /// topology size, or if a row of the topology is not sorted (the
+    /// contract of [`Topology::neighbors`]).
     pub fn new(
         topology: &'a T,
         states: Vec<P>,
@@ -463,6 +465,7 @@ where
         let n = topology.len();
         assert_eq!(states.len(), n, "one protocol state per node required");
         assert_eq!(byzantine.len(), n, "byzantine mask must cover every node");
+        assert_sorted_rows(topology);
         let (shards, clocks) = match layout {
             Layout::InProcess { shards, clocks } => (shards, clocks),
             Layout::Wire { shards, .. } => (shards, ClockPlan::Uniform),
@@ -679,24 +682,26 @@ where
 
         // Honest stream first, then the Byzantine path: the reference
         // engine's order, which the fault plan's RNG stream depends on.
-        // Positions count through both gathered arenas.
+        // Positions count through both gathered arenas, and one edge
+        // cursor follows the senders' rows through the pass.
+        let mut edges = RowCursor::new();
         let mut honest = std::mem::take(&mut self.honest_arena);
         let gathered = honest.len();
         for (pos, env) in honest.drain(..).enumerate() {
-            self.route(tick, env, Some(pos));
+            self.route(tick, env, Some(pos), &mut edges);
         }
         self.honest_arena = honest;
         match decision {
             AdversaryDecision::FollowProtocol => {
                 let mut byz = std::mem::take(&mut self.byz_default);
                 for (pos, env) in (gathered..).zip(byz.drain(..)) {
-                    self.route(tick, env, Some(pos));
+                    self.route(tick, env, Some(pos), &mut edges);
                 }
                 self.byz_default = byz;
             }
             AdversaryDecision::Replace(msgs) => {
                 for env in msgs {
-                    self.route(tick, env, None);
+                    self.route(tick, env, None, &mut edges);
                 }
             }
         }
@@ -795,14 +800,22 @@ where
     /// destination shard (the validation rules are shared with
     /// [`SyncEngine`] via [`envelope_admissible`]).  `pos` is the
     /// envelope's place in the tick's gathered arenas, honest then
-    /// Byzantine-default; `None` marks one the adversary wrote.
-    fn route(&mut self, tick: u64, env: Envelope<P::Message>, pos: Option<usize>) {
+    /// Byzantine-default; `None` marks one the adversary wrote.  `edges`
+    /// is the routing pass's cursor over the senders' rows.
+    fn route(
+        &mut self,
+        tick: u64,
+        env: Envelope<P::Message>,
+        pos: Option<usize>,
+        edges: &mut RowCursor,
+    ) {
         if !envelope_admissible(
             self.topology,
             &self.statuses,
             &self.byzantine,
             &env,
             pos.is_none(),
+            edges,
         ) {
             self.metrics.record_drop();
             return;
@@ -1222,6 +1235,78 @@ mod tests {
                 outbox.clear();
             }
             Action::Continue
+        }
+    }
+
+    /// Build an engine over [`UnsortedStar`] on `layout`, or the reference
+    /// engine for `None`.
+    fn build_on_unsorted_star(layout: Option<Layout>) {
+        let star = crate::fixtures::UnsortedStar;
+        let (states, mask) = (flood_states(4, 3), vec![false; 4]);
+        let cfg = EngineConfig::default();
+        match layout {
+            Some(layout) => {
+                ShardedEngine::new(&star, states, mask, NullAdversary, cfg, 1, layout);
+            }
+            None => {
+                SyncEngine::new(&star, states, mask, NullAdversary, cfg, 1);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0's neighbour row is not sorted")]
+    fn the_reference_engine_refuses_an_unsorted_row() {
+        // The edge test walks sorted rows: listed `[3, 1, 2]`, the centre's
+        // row would hide real edges, and their messages would count as
+        // dropped.
+        build_on_unsorted_star(None);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0's neighbour row is not sorted")]
+    fn the_sharded_engine_refuses_an_unsorted_row() {
+        build_on_unsorted_star(in_process(2, ClockPlan::Uniform));
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0's neighbour row is not sorted")]
+    fn the_wire_coordinator_refuses_an_unsorted_row() {
+        build_on_unsorted_star(piped(2));
+    }
+
+    /// Forges one envelope from a sender that does not exist.
+    struct Forger;
+
+    impl Adversary<MaxFlood> for Forger {
+        fn act(
+            &mut self,
+            view: &AdversaryView<'_, MaxFlood>,
+            _rng: &mut ChaCha8Rng,
+        ) -> AdversaryDecision<Val> {
+            let ghost = NodeId::from_index(view.byzantine.len());
+            AdversaryDecision::Replace(vec![Envelope::new(ghost, NodeId(0), Val(u64::MAX))])
+        }
+    }
+
+    #[test]
+    fn a_sender_outside_the_topology_is_dropped_on_every_engine() {
+        // The sender check comes first and the edge test reads the
+        // sender's row only after it, so a forged sender id past the end
+        // is a counted drop, never an out-of-bounds row lookup.
+        let (n, ttl) = (8, 3);
+        let g = line_graph(n);
+        let cfg = EngineConfig::default();
+        let byzantine: Vec<bool> = (0..n).map(|i| i == 3).collect();
+        let sync =
+            SyncEngine::new(&g, flood_states(n, ttl), byzantine.clone(), Forger, cfg, 5).run();
+        assert_eq!(sync.metrics.messages_dropped, sync.metrics.rounds);
+        for layout in [in_process(2, ClockPlan::Uniform), piped(2)].map(Option::unwrap) {
+            let label = format!("{layout:?}");
+            let states = flood_states(n, ttl);
+            let engine = ShardedEngine::new(&g, states, byzantine.clone(), Forger, cfg, 5, layout);
+            let result = engine.run().expect("pipes never fail");
+            assert_results_equal(&sync, &result, &label);
         }
     }
 

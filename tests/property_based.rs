@@ -1015,7 +1015,7 @@ fn counting_message_from(shape: u8, word: u64) -> CountingMessage {
         0 => CountingMessage::Adjacency { neighbors: ids },
         1 => CountingMessage::Flood {
             color: (word % 61) as u32 + 1,
-            path: ids,
+            path: ids.into(),
         },
         _ => CountingMessage::Audit {
             color: (word % 61) as u32 + 1,
@@ -1324,5 +1324,395 @@ proptest! {
         if let Ok(decoded) = decode_fates_bytes(&flipped, shipped) {
             prop_assert_eq!(encode_fates_bytes(&decoded), flipped);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The counting hot path's lookups against the answers they replaced
+// ---------------------------------------------------------------------------
+
+use byzcount_core::discovery::{align_reports, reconstruct, DiscoveryOutcome};
+use byzcount_core::FloodPath;
+use netsim_graph::RowCursor;
+use std::collections::HashMap;
+
+/// A xorshift stream, so one fuzzed seed builds a whole row, query
+/// sequence or report set.
+struct Stream(u64);
+
+impl Stream {
+    fn new(seed: u64) -> Self {
+        Stream(seed | 1)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n.max(1)
+    }
+
+    /// A sorted row of `len` ids below `span`; a small span repeats ids.
+    fn sorted_row(&mut self, len: usize, span: u64) -> Vec<u32> {
+        let mut row: Vec<u32> = (0..len).map(|_| self.below(span) as u32).collect();
+        row.sort_unstable();
+        row
+    }
+}
+
+/// The `HashMap` form `reconstruct` had before it took aligned reports,
+/// kept verbatim as the oracle: `reports` maps a sender to its last
+/// report.
+fn reconstruct_with_a_hashmap(
+    me: u32,
+    my_neighbors: &[u32],
+    reports: &HashMap<u32, Vec<u32>>,
+) -> DiscoveryOutcome {
+    let deg = my_neighbors.len();
+    if deg == 0 {
+        return DiscoveryOutcome::default();
+    }
+    // Local index of each neighbour (and of `me`, as the last bit).
+    let local: HashMap<u32, usize> = my_neighbors
+        .iter()
+        .enumerate()
+        .map(|(i, &u)| (u, i))
+        .collect();
+    let words = (deg + 1).div_ceil(64);
+    let me_bit = deg; // index of `me` in the bitset universe
+
+    let mut conflict = false;
+    let mut missing_reports = 0usize;
+
+    // Bitset of I(u) = (reported N_G(u) ∪ is `me` listed) ∩ (N_G(v) ∪ {v}).
+    let mut inter: Vec<Vec<u64>> = vec![vec![0u64; words]; deg];
+    let mut reported_sets: Vec<Option<&Vec<u32>>> = vec![None; deg];
+    for (i, &u) in my_neighbors.iter().enumerate() {
+        match reports.get(&u) {
+            Some(list) => {
+                reported_sets[i] = Some(list);
+                let mut lists_me = false;
+                for &x in list {
+                    if x == me {
+                        lists_me = true;
+                        oracle_set_bit(&mut inter[i], me_bit);
+                    } else if let Some(&j) = local.get(&x) {
+                        oracle_set_bit(&mut inter[i], j);
+                    }
+                }
+                if !lists_me {
+                    // Adjacency is symmetric; omitting `me` is a lie.
+                    conflict = true;
+                }
+            }
+            None => {
+                missing_reports += 1;
+                conflict = true;
+            }
+        }
+    }
+
+    // Symmetry check between pairs of reporting neighbours: if u lists w but
+    // w does not list u (both being our neighbours), the reports conflict.
+    for (i, &u) in my_neighbors.iter().enumerate() {
+        let Some(list_u) = reported_sets[i] else {
+            continue;
+        };
+        for &w in list_u {
+            if w == me {
+                continue;
+            }
+            if let Some(&j) = local.get(&w) {
+                if let Some(list_w) = reported_sets[j] {
+                    if !list_w.contains(&u) {
+                        conflict = true;
+                    }
+                }
+            }
+        }
+    }
+
+    // Containment order: u is deeper than w when I(u) ⊊ I(w), with the two
+    // endpoints masked out of both sides.  The masking is essential: a node
+    // never lists itself, so `w ∈ I(u)` but `w ∉ I(w)` (and symmetrically
+    // for `u`), which would make every pair incomparable and classify the
+    // whole G-neighbourhood as maximal.  H-neighbours are the maximal
+    // elements; depths follow the longest containment chain.
+    let mut dominated_by: Vec<Vec<usize>> = vec![Vec::new(); deg];
+    for i in 0..deg {
+        for j in 0..deg {
+            if i != j && oracle_strict_subset_ignoring(&inter[i], &inter[j], i, j) {
+                dominated_by[i].push(j);
+            }
+        }
+    }
+    let mut is_maximal: Vec<bool> = dominated_by.iter().map(|d| d.is_empty()).collect();
+    // Size refinement: on a tree-like ball an `H`-neighbour's intersection
+    // has 2d−1 elements while a depth-2 neighbour's has only d, so requiring
+    // |I| ≥ ⌈3d̂/2⌉ (d̂ = (max|I|+1)/2 estimates d) sits midway between the
+    // two and cuts through the short-cycle noise that keeps the pure
+    // containment order from resolving at simulation scales.  Only applied
+    // when the ball actually looks like an expander ball (d̂ ≥ 3): on
+    // degenerate topologies (trees, rings — where `G ≈ H` and every
+    // neighbour is a true `H`-neighbour) the intersections are tiny and the
+    // containment order alone is the right answer.
+    let pops: Vec<u32> = inter
+        .iter()
+        .map(|b| b.iter().map(|w| w.count_ones()).sum())
+        .collect();
+    let maxp = pops.iter().copied().max().unwrap_or(0);
+    if maxp >= 5 {
+        let d_hat = maxp.div_ceil(2);
+        // `d̂ + 3` approximates the tree midpoint ⌈3d̂/2⌉ at the simulated
+        // degrees (d = 6..10) while staying gentle when short cycles inflate
+        // `maxp` — the midpoint formula over-prunes there and starts missing
+        // true `H`-edges, which is the one error direction flooding cannot
+        // absorb.
+        let thr = d_hat + 3;
+        for i in 0..deg {
+            is_maximal[i] = is_maximal[i] && pops[i] >= thr;
+        }
+    }
+    let mut depths = vec![1u8; deg];
+    // Longest-chain depths by relaxation; the iteration cap guards against
+    // the (non-transitive) artefacts short cycles can produce at small n.
+    for _ in 0..deg {
+        let mut changed = false;
+        for i in 0..deg {
+            if dominated_by[i].is_empty() {
+                continue;
+            }
+            let deepest_parent = dominated_by[i]
+                .iter()
+                .map(|&j| depths[j])
+                .max()
+                .unwrap_or(0);
+            let want = deepest_parent.saturating_add(1);
+            if depths[i] != want {
+                depths[i] = want;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+
+    let mut h_neighbors: Vec<u32> = (0..deg)
+        .filter(|&i| is_maximal[i])
+        .map(|i| my_neighbors[i])
+        .collect();
+    h_neighbors.sort_unstable();
+
+    DiscoveryOutcome {
+        h_neighbors,
+        depths,
+        conflict,
+        missing_reports,
+    }
+}
+
+#[inline]
+fn oracle_set_bit(bits: &mut [u64], idx: usize) {
+    bits[idx / 64] |= 1u64 << (idx % 64);
+}
+
+/// `a ⊊ b` for bitsets of equal width, ignoring positions `skip1`/`skip2`.
+fn oracle_strict_subset_ignoring(a: &[u64], b: &[u64], skip1: usize, skip2: usize) -> bool {
+    let mut equal = true;
+    for (idx, (&wa, &wb)) in a.iter().zip(b.iter()).enumerate() {
+        let mut mask = u64::MAX;
+        if skip1 / 64 == idx {
+            mask &= !(1u64 << (skip1 % 64));
+        }
+        if skip2 / 64 == idx {
+            mask &= !(1u64 << (skip2 % 64));
+        }
+        let (wa, wb) = (wa & mask, wb & mask);
+        if wa & !wb != 0 {
+            return false;
+        }
+        if wa != wb {
+            equal = false;
+        }
+    }
+    !equal
+}
+
+/// One node's view for the discovery property: its id, its sorted row (ids
+/// may repeat, and the row may hold the node itself), and its inbox of
+/// `(sender, report)` pairs in arrival order.
+struct DiscoveryCase {
+    me: u32,
+    row: Vec<u32>,
+    inbox: Vec<(u32, Vec<u32>)>,
+}
+
+impl DiscoveryCase {
+    /// Honest reports over a random multigraph on `span` ids, then
+    /// perturbed: reports unsorted, with repeated or foreign ids or the
+    /// sender itself, missing, sent twice, or sent by a non-neighbour.
+    fn generate(s: &mut Stream, span: u64, degree: u64, lie_permille: u64) -> Self {
+        let span = span.max(2);
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); span as usize];
+        for u in 0..span as u32 {
+            for _ in 0..=s.below(degree) {
+                let v = s.below(span) as u32;
+                rows[u as usize].push(v);
+                if v != u {
+                    rows[v as usize].push(u);
+                }
+            }
+        }
+        for row in &mut rows {
+            row.sort_unstable();
+        }
+        let me = s.below(span) as u32;
+        let row = rows[me as usize].clone();
+        let lie = |s: &mut Stream| s.below(1000) < lie_permille;
+        let mut inbox = Vec::new();
+        for &u in &row {
+            if lie(s) {
+                continue; // silent
+            }
+            let mut report = rows[u as usize].clone();
+            if lie(s) && !report.is_empty() {
+                let gone = s.below(report.len() as u64) as usize;
+                report.remove(gone);
+            }
+            if lie(s) {
+                report.push(s.below(span + 4) as u32); // maybe foreign
+            }
+            if lie(s) {
+                report.push(u); // self-listing
+            }
+            if lie(s) && !report.is_empty() {
+                let twice = report[s.below(report.len() as u64) as usize];
+                report.push(twice);
+            }
+            if lie(s) {
+                report.reverse();
+            }
+            inbox.push((u, report));
+            if lie(s) {
+                // A second report from the same sender: the last one wins.
+                let len = s.below(6) as usize;
+                inbox.push((u, s.sorted_row(len, span)));
+            }
+        }
+        if lie(s) {
+            let stranger = span as u32 + s.below(3) as u32;
+            inbox.push((stranger, vec![me]));
+        }
+        if lie(s) && inbox.len() > 1 {
+            let (a, b) = (s.below(inbox.len() as u64), s.below(inbox.len() as u64));
+            inbox.swap(a as usize, b as usize);
+        }
+        DiscoveryCase { me, row, inbox }
+    }
+}
+
+fn same_outcome(a: &DiscoveryOutcome, b: &DiscoveryOutcome) -> bool {
+    (&a.h_neighbors, &a.depths, a.conflict, a.missing_reports)
+        == (&b.h_neighbors, &b.depths, b.conflict, b.missing_reports)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The row cursor answers every query as a search from scratch does,
+    /// whatever the order: ascending runs, repeated ids, restarts, ids
+    /// past the row, and switches to another row.  Its positions follow
+    /// the rules the counting node and discovery read: the first and the
+    /// last occurrence of a repeated id.
+    #[test]
+    fn row_cursor_answers_as_a_binary_search(
+        seed in any::<u64>(),
+        len in 0usize..48,
+        span in 1u64..96,
+        queries in 1usize..160,
+    ) {
+        let mut s = Stream::new(seed);
+        let row = s.sorted_row(len, span);
+        let other = s.sorted_row(len / 2, span);
+        let mut cursor = RowCursor::new();
+        let mut id = 0u32;
+        for _ in 0..queries {
+            id = match s.below(8) {
+                0 => s.below(span) as u32,
+                1 => id,
+                2 => (span + s.below(4)) as u32,
+                _ => id + s.below(3) as u32,
+            };
+            let r = if s.below(6) == 0 { &other } else { &row };
+            let (lower, upper) = (
+                r.partition_point(|&x| x < id),
+                r.partition_point(|&x| x <= id),
+            );
+            let present = lower < upper;
+            match s.below(4) {
+                0 => prop_assert_eq!(cursor.seek(r, id), lower..upper),
+                1 => prop_assert_eq!(cursor.contains(r, id), r.binary_search(&id).is_ok()),
+                2 => prop_assert_eq!(cursor.first(r, id), present.then_some(lower)),
+                _ => prop_assert_eq!(cursor.last(r, id), present.then(|| upper - 1)),
+            }
+        }
+    }
+
+    /// Discovery from aligned, borrowed reports gives exactly what the
+    /// `HashMap` form gave, on honest and on lying reports, over rows
+    /// that repeat ids.
+    #[test]
+    fn aligned_discovery_matches_the_hashmap_form(
+        seed in any::<u64>(),
+        span in 2u64..40,
+        degree in 1u64..5,
+        lie_permille in 0u64..400,
+    ) {
+        let mut s = Stream::new(seed);
+        let case = DiscoveryCase::generate(&mut s, span, degree, lie_permille);
+        let mut map: HashMap<u32, Vec<u32>> = HashMap::new();
+        for (sender, report) in &case.inbox {
+            map.insert(*sender, report.clone());
+        }
+        let oracle = reconstruct_with_a_hashmap(case.me, &case.row, &map);
+        let sent = case.inbox.iter().map(|(u, r)| (*u, r.as_slice()));
+        let aligned = reconstruct(case.me, &case.row, &align_reports(&case.row, sent));
+        prop_assert!(
+            same_outcome(&aligned, &oracle),
+            "me {} row {:?} inbox {:?}: {:?} != {:?}",
+            case.me, case.row, case.inbox, aligned, oracle
+        );
+    }
+
+    /// A flood path holds up to three ids inline and spills beyond; either
+    /// way its `Wire` bytes are the `Vec<u32>` encoding (an adjacency
+    /// report's, after the tag), and it round-trips through the codec and
+    /// through serde as a plain sequence.
+    #[test]
+    fn flood_paths_round_trip_inline_and_spilled(seed in any::<u64>(), len in 0usize..7) {
+        let mut s = Stream::new(seed);
+        // Ids of one to four varint bytes.
+        let ids: Vec<u32> = (0..len)
+            .map(|_| {
+                let bits = 1 + 7 * s.below(4);
+                s.below(1 << bits) as u32
+            })
+            .collect();
+        let path = FloodPath::from(ids.clone());
+        prop_assert_eq!(path.as_slice(), ids.as_slice());
+        prop_assert_eq!(path.is_inline(), len <= FloodPath::INLINE);
+        let bytes = wire::encode_to_vec(&path);
+        let report = wire::encode_to_vec(&CountingMessage::Adjacency { neighbors: ids.clone() });
+        prop_assert_eq!(&bytes[..], &report[1..]);
+        let back: FloodPath = wire::decode_from_slice(&bytes).unwrap();
+        prop_assert_eq!(&back, &path);
+        prop_assert_eq!(back.is_inline(), path.is_inline());
+        let flood = CountingMessage::Flood { color: 9, path: path.clone() };
+        let decoded: CountingMessage = wire::decode_from_slice(&wire::encode_to_vec(&flood)).unwrap();
+        prop_assert_eq!(decoded, flood);
+        let json = serde_json::to_string(&path).unwrap();
+        prop_assert_eq!(&json, &serde_json::to_string(&ids).unwrap());
+        prop_assert_eq!(serde_json::from_str::<FloodPath>(&json).unwrap(), path);
     }
 }
