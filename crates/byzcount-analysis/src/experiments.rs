@@ -445,7 +445,7 @@ pub fn exp_expander(cfg: &ExperimentConfig) -> Table {
 /// E7 — Lemma 3: accuracy of the H-neighbourhood reconstruction from honest
 /// adjacency reports.
 pub fn exp_discovery(cfg: &ExperimentConfig) -> Table {
-    use byzcount_core::discovery::{align_reports, reconstruct, ReconstructionAccuracy};
+    use byzcount_core::discovery::{reconstruct, ReconstructionAccuracy};
     let mut table = Table::new(
         "E7",
         "Lemma 3: H-neighbourhood reconstruction accuracy from G-adjacency reports",
@@ -465,7 +465,7 @@ pub fn exp_discovery(cfg: &ExperimentConfig) -> Table {
                 let v = NodeId::from_index(i);
                 let row = net.g_neighbors(v);
                 let honest = row.iter().map(|&u| (u, net.g_neighbors(NodeId(u))));
-                let out = reconstruct(v.0, row, &align_reports(row, honest));
+                let out = reconstruct(v.0, row, honest);
                 let mut truth: Vec<u32> = net.h_neighbors(v).to_vec();
                 truth.dedup();
                 ReconstructionAccuracy::compare(&out.h_neighbors, &truth)

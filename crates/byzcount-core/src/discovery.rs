@@ -20,7 +20,7 @@
 //!   itself, or a neighbour stays silent — then somebody is lying and `v`
 //!   crashes itself rather than risk being fed a fabricated chain.
 
-use netsim_graph::RowCursor;
+use netsim_graph::row;
 use serde::{Deserialize, Serialize};
 
 /// Result of one node's neighbourhood reconstruction.
@@ -38,21 +38,18 @@ pub struct DiscoveryOutcome {
     pub missing_reports: usize,
 }
 
-/// Align adjacency reports with `row`, a node's sorted neighbour row (it
-/// may repeat an id, as an `H(n, d)` multigraph row does), for
-/// [`reconstruct`]: slot `i` borrows the report of the neighbour at
-/// `row[i]`, `None` when it sent none.  `reports` are `(sender, list)`
-/// pairs in arrival order.  Every position of a repeated id holds that
-/// neighbour's report, a sender that reported twice is read by its last
-/// report, and reports from nodes outside the row are dropped.
-pub fn align_reports<'r>(
-    row: &[u32],
+/// Align adjacency reports with `neighbors`, a sorted row: slot `i`
+/// borrows the report of the neighbour at `neighbors[i]`, `None` when it
+/// sent none.  Every position of a repeated id holds that neighbour's
+/// report, a sender that reported twice is read by its last report, and
+/// reports from nodes outside the row are dropped.
+fn align_reports<'r>(
+    neighbors: &[u32],
     reports: impl IntoIterator<Item = (u32, &'r [u32])>,
 ) -> Vec<Option<&'r [u32]>> {
-    let mut aligned = vec![None; row.len()];
-    let mut senders = RowCursor::new();
+    let mut aligned = vec![None; neighbors.len()];
     for (sender, list) in reports {
-        aligned[senders.seek(row, sender)].fill(Some(list));
+        aligned[row::positions(neighbors, sender)].fill(Some(list));
     }
     aligned
 }
@@ -60,12 +57,14 @@ pub fn align_reports<'r>(
 /// Reconstruct the local `H`-topology of node `me` from its `G`-neighbour
 /// row and the adjacency reports received from those neighbours.
 ///
-/// `my_neighbors` is `me`'s sorted row (it may repeat an id), and
-/// `reports` is aligned with it as [`align_reports`] builds it: every
-/// position of a repeated id sees that neighbour's report, and a sender's
-/// last report wins.  Within the reports, an id maps to its *last*
-/// position in the row, so each bitset below has one bit per distinct
-/// neighbour.
+/// `my_neighbors` is `me`'s sorted row; it may repeat an id, as an
+/// `H(n, d)` multigraph row does.  `reports` are the `(sender, list)`
+/// pairs received, in arrival order, borrowed rather than copied.  Every
+/// position of a repeated id sees that neighbour's report, a sender that
+/// reported twice is read by its last report, and reports from nodes
+/// outside the row are ignored.  Within the reports, an id maps to its
+/// *last* position in the row, so each bitset below has one bit per
+/// distinct neighbour.
 ///
 /// Following Lemma 3, the `H`-neighbours are taken to be the maximal
 /// elements of the containment order on `I(u) = N_G(u) ∩ N_G(v)` — the
@@ -75,19 +74,16 @@ pub fn align_reports<'r>(
 /// safe direction for the protocol: no true `H`-edge is lost (so flooding
 /// still covers the graph); a few `L`-edges are merely admitted as extra
 /// flooding edges.  Experiment E7 quantifies both error directions.
-///
-/// # Panics
-/// Panics if `reports` is not aligned with `my_neighbors`.
-pub fn reconstruct(me: u32, my_neighbors: &[u32], reports: &[Option<&[u32]>]) -> DiscoveryOutcome {
-    assert_eq!(
-        reports.len(),
-        my_neighbors.len(),
-        "one report slot per row position"
-    );
+pub fn reconstruct<'r>(
+    me: u32,
+    my_neighbors: &[u32],
+    reports: impl IntoIterator<Item = (u32, &'r [u32])>,
+) -> DiscoveryOutcome {
     let deg = my_neighbors.len();
     if deg == 0 {
         return DiscoveryOutcome::default();
     }
+    let reports = align_reports(my_neighbors, reports);
     let words = (deg + 1).div_ceil(64);
     let me_bit = deg; // index of `me` in the bitset universe
 
@@ -98,7 +94,6 @@ pub fn reconstruct(me: u32, my_neighbors: &[u32], reports: &[Option<&[u32]>]) ->
     // row `i` at `inter[i * words..]`; a neighbour is the bit of its last
     // position in the row.
     let mut inter = vec![0u64; deg * words];
-    let mut ids = RowCursor::new();
     for (i, report) in reports.iter().enumerate() {
         let Some(list) = report else {
             missing_reports += 1;
@@ -111,7 +106,7 @@ pub fn reconstruct(me: u32, my_neighbors: &[u32], reports: &[Option<&[u32]>]) ->
             if x == me {
                 lists_me = true;
                 set_bit(bits, me_bit);
-            } else if let Some(j) = ids.last(my_neighbors, x) {
+            } else if let Some(j) = row::last(my_neighbors, x) {
                 set_bit(bits, j);
             }
         }
@@ -129,12 +124,11 @@ pub fn reconstruct(me: u32, my_neighbors: &[u32], reports: &[Option<&[u32]>]) ->
     // runs only when every neighbour reported: a missing report is a
     // conflict already.
     if !conflict {
-        let mut own = RowCursor::new();
         conflict = my_neighbors.iter().enumerate().any(|(i, &u)| {
             let u_bit = if u == me {
                 me_bit
             } else {
-                own.last(my_neighbors, u).expect("u is in the row")
+                row::last(my_neighbors, u).expect("u is in the row")
             };
             set_bits(inter[i]).any(|j| j != me_bit && !has_bit(inter[j], u_bit))
         });
@@ -318,9 +312,8 @@ mod tests {
         v: NodeId,
         reports: &HashMap<u32, Vec<u32>>,
     ) -> DiscoveryOutcome {
-        let row = net.g_neighbors(v);
         let sent = reports.iter().map(|(&u, list)| (u, list.as_slice()));
-        reconstruct(v.0, row, &align_reports(row, sent))
+        reconstruct(v.0, net.g_neighbors(v), sent)
     }
 
     #[test]
@@ -423,7 +416,7 @@ mod tests {
 
     #[test]
     fn empty_neighborhood_is_harmless() {
-        let out = reconstruct(0, &[], &[]);
+        let out = reconstruct(0, &[], std::iter::empty());
         assert!(!out.conflict);
         assert!(out.h_neighbors.is_empty());
     }

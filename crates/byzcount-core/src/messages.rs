@@ -334,11 +334,13 @@ mod tests {
 
     #[test]
     fn flood_paths_are_inline_up_to_three_ids_and_spill_beyond() {
-        for len in 0..=6u32 {
-            let ids: Vec<u32> = (0..len).map(|i| 1000 + 300 * i).collect();
+        // Ids of one to five varint bytes, in paths of 0 to 6 ids.
+        let widths = [5, 127, 128, 16_384, 2_097_152, u32::MAX];
+        for len in 0..=widths.len() {
+            let ids = widths[..len].to_vec();
             let path = FloodPath::from(ids.clone());
             assert_eq!(path.as_slice(), ids.as_slice());
-            assert_eq!(path.is_inline(), len as usize <= FloodPath::INLINE);
+            assert_eq!(path.is_inline(), len <= FloodPath::INLINE);
             assert_eq!(FloodPath::from(ids.as_slice()), path);
             if let Some((&from, behind)) = ids.split_first() {
                 assert_eq!(FloodPath::relayed(from, behind), path);
@@ -353,6 +355,17 @@ mod tests {
                 (back.as_slice(), back.is_inline()),
                 (&ids[..], path.is_inline())
             );
+            let flood = CountingMessage::Flood { color: 9, path };
+            let bytes = netsim_wire::encode_to_vec(&flood);
+            let back: CountingMessage = netsim_wire::decode_from_slice(&bytes).unwrap();
+            assert_eq!(back, flood);
+            // Its serde form is the plain sequence of ids.
+            let CountingMessage::Flood { path, .. } = flood else {
+                unreachable!()
+            };
+            let json = serde_json::to_string(&path).unwrap();
+            assert_eq!(json, serde_json::to_string(&ids).unwrap());
+            assert_eq!(serde_json::from_str::<FloodPath>(&json).unwrap(), path);
         }
         assert_eq!(format!("{:?}", FloodPath::from(vec![4, 5])), "[4, 5]");
         // A flood copied to every H-neighbour stays as small as before.

@@ -29,11 +29,11 @@
 //!   requires.
 
 use crate::color::{sample_color, Color};
-use crate::discovery::{align_reports, reconstruct, DiscoveryOutcome};
+use crate::discovery::{reconstruct, DiscoveryOutcome};
 use crate::messages::{CountingMessage, FloodPath};
 use crate::params::ProtocolParams;
 use crate::schedule::{PhasePosition, Position, Schedule};
-use netsim_graph::RowCursor;
+use netsim_graph::row;
 use netsim_runtime::{Action, Envelope, NodeContext, Outbox, Protocol};
 use rand_chacha::ChaCha8Rng;
 
@@ -86,7 +86,7 @@ pub struct CountingNode {
     /// color the `G`-neighbour at `neighbour_pos` announced forwarding in
     /// that step; `0` = nothing announced.  A neighbour's position is the
     /// *first* position of its id in the sorted row (an `H(n, d)` row may
-    /// repeat an id), found by a [`RowCursor`] on both sides: logging an
+    /// repeat an id), found by [`row::first`] on both sides: logging an
     /// audit and looking a relay up.  Cleared with its capacity kept at
     /// every generation step.
     audit_log: Vec<Color>,
@@ -211,16 +211,11 @@ impl CountingNode {
         ctx: &NodeContext<'_>,
         inbox: &[Envelope<CountingMessage>],
     ) -> Action<Decision> {
-        let reports = align_reports(
-            ctx.neighbors,
-            inbox.iter().filter_map(|env| match &env.payload {
-                CountingMessage::Adjacency { neighbors } => {
-                    Some((env.from.0, neighbors.as_slice()))
-                }
-                _ => None,
-            }),
-        );
-        let outcome = reconstruct(ctx.id.0, ctx.neighbors, &reports);
+        let reports = inbox.iter().filter_map(|env| match &env.payload {
+            CountingMessage::Adjacency { neighbors } => Some((env.from.0, neighbors.as_slice())),
+            _ => None,
+        });
+        let outcome = reconstruct(ctx.id.0, ctx.neighbors, reports);
         let conflict = outcome.conflict;
         self.h_neighbors = outcome.h_neighbors.clone();
         self.h_neighbors.sort_unstable();
@@ -293,7 +288,6 @@ impl CountingNode {
         if (path.len() as u64) < k - 1 {
             return false;
         }
-        let mut relays = RowCursor::new();
         for (idx, &relay) in path.iter().take((k - 1) as usize).enumerate() {
             let j = idx as u64 + 1; // hops behind the sender
             let sending_step = step - 1 - j;
@@ -304,7 +298,7 @@ impl CountingNode {
                 }
                 continue;
             }
-            let Some(relay_pos) = relays.first(ctx.neighbors, relay) else {
+            let Some(relay_pos) = row::first(ctx.neighbors, relay) else {
                 // A relay within B_H(sender, k−1) is necessarily one of our
                 // G-neighbours; an unknown relay means a fabricated path.
                 return false;
@@ -325,12 +319,10 @@ impl CountingNode {
     ) -> Action<Decision> {
         let step = pos.step;
         // 1. Log audits (they were sent in the previous engine round, i.e.
-        //    flooding step `step − 1`).  The inbox fills in route order, so
-        //    its senders mostly ascend and the cursor mostly steps forward.
-        let mut senders = RowCursor::new();
+        //    flooding step `step − 1`).
         for env in inbox {
             if let CountingMessage::Audit { color } = env.payload {
-                if let Some(pos) = senders.first(ctx.neighbors, env.from.0) {
+                if let Some(pos) = row::first(ctx.neighbors, env.from.0) {
                     self.log_audit(pos, step - 1, color);
                 }
             }
@@ -338,10 +330,9 @@ impl CountingNode {
         // 2. Process floods arriving over (reconstructed) H-edges.
         let mut best: Color = 0;
         let mut best_origin: Option<(u32, &[u32])> = None;
-        let mut h_senders = RowCursor::new();
         for env in inbox {
             if let CountingMessage::Flood { color, path } = &env.payload {
-                if !h_senders.contains(&self.h_neighbors, env.from.0) {
+                if !row::contains(&self.h_neighbors, env.from.0) {
                     // Floods travel along H only; anything else is ignored.
                     continue;
                 }

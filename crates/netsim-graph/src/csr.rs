@@ -229,107 +229,6 @@ impl Csr {
     }
 }
 
-/// A forward cursor answering "where is id `x` in this sorted row" for a
-/// run of queries, such as one per envelope of a routing pass.
-///
-/// A row is an ascending slice of node ids that may repeat an id, as a
-/// [`Csr`] multigraph row does.  The queries on the hot paths mostly come
-/// in ascending order — a broadcast walks a sorted row, an arena holds its
-/// senders in node order, an inbox fills in route order — so the cursor
-/// keeps the previous answer's position and walks forward from it: a run
-/// of ascending queries costs O(1) each, amortized.  When the order breaks
-/// (the id goes backwards, or the row is another one and the kept
-/// position is not a lower bound in it) the cursor re-seeks with one
-/// `partition_point`, and a jump forward of more than a few steps ends in
-/// one as well, so a query costs at most a few steps and a binary search.
-///
-/// The cursor holds only a position, never the row: every query names the
-/// row it asks about, and the answer is always exact for that row, so one
-/// cursor can follow the rows of successive senders.
-///
-/// ```
-/// use netsim_graph::RowCursor;
-///
-/// let row = [1, 3, 3, 7];
-/// let mut cursor = RowCursor::new();
-/// assert_eq!(cursor.seek(&row, 3), 1..3);
-/// assert_eq!(cursor.first(&row, 7), Some(3));
-/// assert!(!cursor.contains(&row, 5)); // backwards: one re-seek
-/// assert_eq!(cursor.last(&row, 3), Some(2));
-/// assert_eq!(cursor.seek(&row, 9), 4..4); // absent: empty at its place
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RowCursor {
-    /// The first position of the previous query's id (its lower bound) in
-    /// the row it was asked of.
-    at: usize,
-}
-
-impl RowCursor {
-    /// Steps a forward query walks before it finishes with a
-    /// `partition_point` over the rest of the row.
-    const WALK: usize = 8;
-
-    /// A cursor at the start of any row.
-    pub const fn new() -> Self {
-        RowCursor { at: 0 }
-    }
-
-    /// The positions of `id` in `row`: an empty range at the place `id`
-    /// would go when the row does not hold it.
-    #[inline]
-    pub fn seek(&mut self, row: &[u32], id: u32) -> std::ops::Range<usize> {
-        let first = self.lower_bound(row, id);
-        let mut end = first;
-        while end < row.len() && row[end] == id {
-            end += 1;
-        }
-        first..end
-    }
-
-    /// Whether `row` holds `id`.
-    #[inline]
-    pub fn contains(&mut self, row: &[u32], id: u32) -> bool {
-        self.first(row, id).is_some()
-    }
-
-    /// The first position of `id` in `row`.
-    #[inline]
-    pub fn first(&mut self, row: &[u32], id: u32) -> Option<usize> {
-        let at = self.lower_bound(row, id);
-        (row.get(at) == Some(&id)).then_some(at)
-    }
-
-    /// The last position of `id` in `row`.
-    #[inline]
-    pub fn last(&mut self, row: &[u32], id: u32) -> Option<usize> {
-        let found = self.seek(row, id);
-        (!found.is_empty()).then(|| found.end - 1)
-    }
-
-    /// The first position in `row` whose id is not below `id`.
-    #[inline]
-    fn lower_bound(&mut self, row: &[u32], id: u32) -> usize {
-        let mut at = self.at.min(row.len());
-        if at > 0 && row[at - 1] >= id {
-            // Backwards, or a row in which the kept position is not a
-            // lower bound: re-seek.
-            at = row.partition_point(|&x| x < id);
-        } else {
-            // `row[..at]` is below `id`: walk forward.
-            let walk_end = (at + Self::WALK).min(row.len());
-            while at < walk_end && row[at] < id {
-                at += 1;
-            }
-            if at == walk_end && at < row.len() && row[at] < id {
-                at += row[at..].partition_point(|&x| x < id);
-            }
-        }
-        self.at = at;
-        at
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,13 +39,14 @@ pub mod expansion;
 pub mod hgraph;
 pub mod ids;
 pub mod metrics;
+pub mod row;
 pub mod smallworld;
 pub mod treelike;
 pub mod trees;
 pub mod watts_strogatz;
 
 pub use categories::{CategoryCounts, NodeCategories};
-pub use csr::{Csr, RowCursor};
+pub use csr::Csr;
 pub use error::GraphError;
 pub use expansion::{ExpansionEstimate, SpectralEstimate};
 pub use hgraph::HGraph;
@@ -59,7 +60,7 @@ pub use watts_strogatz::WattsStrogatz;
 pub mod prelude {
     pub use crate::bfs::{ball, bfs_distances, boundary, multi_source_distances};
     pub use crate::categories::{CategoryCounts, NodeCategories};
-    pub use crate::csr::{Csr, RowCursor};
+    pub use crate::csr::Csr;
     pub use crate::error::GraphError;
     pub use crate::expansion::{ExpansionEstimate, SpectralEstimate};
     pub use crate::hgraph::HGraph;

@@ -45,7 +45,7 @@ use crate::node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
 use crate::ring::DelayRing;
 use crate::topology::{assert_sorted_rows, Topology};
 use netsim_faults::{ChurnEvent, EnvelopeFate, FaultPlan};
-use netsim_graph::{NodeId, RowCursor};
+use netsim_graph::{row, NodeId};
 use netsim_trace::{Counter, Gauge, Phase, Recorder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -549,18 +549,16 @@ where
         // Phase 4: validate, account and deliver messages for the next
         // round — honest arena first, then the Byzantine path, exactly the
         // pre-refactor order (the fault plan's RNG stream depends on it).
-        // One edge cursor follows the senders' rows through the pass.
-        let mut edges = RowCursor::new();
         let mut honest = std::mem::take(&mut self.honest);
         for env in honest.drain() {
-            self.deliver(round, env, false, &mut edges);
+            self.deliver(round, env, false);
         }
         self.honest = honest;
         match decision {
             AdversaryDecision::FollowProtocol => {
                 let mut byz = std::mem::take(&mut self.byz_default);
                 for env in byz.drain() {
-                    self.deliver(round, env, false, &mut edges);
+                    self.deliver(round, env, false);
                 }
                 self.byz_default = byz;
             }
@@ -568,7 +566,7 @@ where
                 // The adversary's envelopes stand in for the defaults.
                 self.byz_default.drain();
                 for env in msgs {
-                    self.deliver(round, env, true, &mut edges);
+                    self.deliver(round, env, true);
                 }
             }
         }
@@ -625,23 +623,15 @@ where
     }
 
     /// Validate, account and deliver (or lose / defer) one envelope queued
-    /// in `round`; `edges` is the routing pass's cursor over the senders'
-    /// rows.
+    /// in `round`.
     #[inline(always)]
-    fn deliver(
-        &mut self,
-        round: u64,
-        env: Envelope<P::Message>,
-        authored_by_adversary: bool,
-        edges: &mut RowCursor,
-    ) {
+    fn deliver(&mut self, round: u64, env: Envelope<P::Message>, authored_by_adversary: bool) {
         if !envelope_admissible(
             self.topology,
             &self.statuses,
             &self.byzantine,
             &env,
             authored_by_adversary,
-            edges,
         ) {
             self.metrics.record_drop();
             return;
@@ -723,15 +713,10 @@ where
 /// Adversary-authored envelopes must additionally claim a Byzantine sender
 /// (identity non-forgeability: the adversary may only speak through the
 /// nodes it controls).  The recipient must exist and be in the sender's
-/// sorted row ([`Topology::neighbors`], the one definition of an edge),
-/// and it must be alive.  The row is read only once the sender checks
-/// pass, so a forged sender id past the end is a counted drop.
-///
-/// `edges` is a [`RowCursor`] the caller carries across one routing pass
-/// (the honest arena, then the Byzantine-default stream or the
-/// adversary's set): the arenas hold their senders in node order and a
-/// broadcast walks its sender's row in order, so the edge test is O(1)
-/// amortized.  The cursor is exact for any order; it only gets slower.
+/// sorted row ([`Topology::neighbors`], the one definition of an edge,
+/// searched with [`row::contains`]), and it must be alive.  The row is
+/// read only once the sender checks pass, so a forged sender id past the
+/// end is a counted drop.
 #[inline(always)]
 pub(crate) fn envelope_admissible<T: Topology, M>(
     topology: &T,
@@ -739,7 +724,6 @@ pub(crate) fn envelope_admissible<T: Topology, M>(
     byzantine: &[bool],
     env: &Envelope<M>,
     authored_by_adversary: bool,
-    edges: &mut RowCursor,
 ) -> bool {
     let n = topology.len();
     let (from, to) = (env.from.index(), env.to.index());
@@ -748,7 +732,7 @@ pub(crate) fn envelope_admissible<T: Topology, M>(
         && (!authored_by_adversary || byzantine[from]);
     from_ok
         && to < n
-        && edges.contains(topology.neighbors(env.from), env.to.0)
+        && row::contains(topology.neighbors(env.from), env.to.0)
         && statuses[to] != NodeStatus::Crashed
 }
 

@@ -98,7 +98,6 @@ use crate::node::{NodeStatus, Protocol};
 use crate::shard::{Shard, CHURN_CRASH, CHURN_RECOVER, TRANSITION_DECIDED};
 use crate::topology::{assert_sorted_rows, Topology};
 use netsim_faults::{ChurnEvent, EnvelopeFate, FaultPlan};
-use netsim_graph::RowCursor;
 use netsim_trace::{Counter, Gauge, Phase, Recorder, SHARD_ROUTER};
 use netsim_wire::{duplex, Wire, WireError, WireHello, SPEC_VERSION_ANY};
 use rand::SeedableRng;
@@ -682,26 +681,24 @@ where
 
         // Honest stream first, then the Byzantine path: the reference
         // engine's order, which the fault plan's RNG stream depends on.
-        // Positions count through both gathered arenas, and one edge
-        // cursor follows the senders' rows through the pass.
-        let mut edges = RowCursor::new();
+        // Positions count through both gathered arenas.
         let mut honest = std::mem::take(&mut self.honest_arena);
         let gathered = honest.len();
         for (pos, env) in honest.drain(..).enumerate() {
-            self.route(tick, env, Some(pos), &mut edges);
+            self.route(tick, env, Some(pos));
         }
         self.honest_arena = honest;
         match decision {
             AdversaryDecision::FollowProtocol => {
                 let mut byz = std::mem::take(&mut self.byz_default);
                 for (pos, env) in (gathered..).zip(byz.drain(..)) {
-                    self.route(tick, env, Some(pos), &mut edges);
+                    self.route(tick, env, Some(pos));
                 }
                 self.byz_default = byz;
             }
             AdversaryDecision::Replace(msgs) => {
                 for env in msgs {
-                    self.route(tick, env, None, &mut edges);
+                    self.route(tick, env, None);
                 }
             }
         }
@@ -800,22 +797,14 @@ where
     /// destination shard (the validation rules are shared with
     /// [`SyncEngine`] via [`envelope_admissible`]).  `pos` is the
     /// envelope's place in the tick's gathered arenas, honest then
-    /// Byzantine-default; `None` marks one the adversary wrote.  `edges`
-    /// is the routing pass's cursor over the senders' rows.
-    fn route(
-        &mut self,
-        tick: u64,
-        env: Envelope<P::Message>,
-        pos: Option<usize>,
-        edges: &mut RowCursor,
-    ) {
+    /// Byzantine-default; `None` marks one the adversary wrote.
+    fn route(&mut self, tick: u64, env: Envelope<P::Message>, pos: Option<usize>) {
         if !envelope_admissible(
             self.topology,
             &self.statuses,
             &self.byzantine,
             &env,
             pos.is_none(),
-            edges,
         ) {
             self.metrics.record_drop();
             return;
@@ -1238,41 +1227,28 @@ mod tests {
         }
     }
 
-    /// Build an engine over [`UnsortedStar`] on `layout`, or the reference
-    /// engine for `None`.
-    fn build_on_unsorted_star(layout: Option<Layout>) {
-        let star = crate::fixtures::UnsortedStar;
-        let (states, mask) = (flood_states(4, 3), vec![false; 4]);
-        let cfg = EngineConfig::default();
-        match layout {
-            Some(layout) => {
-                ShardedEngine::new(&star, states, mask, NullAdversary, cfg, 1, layout);
-            }
-            None => {
-                SyncEngine::new(&star, states, mask, NullAdversary, cfg, 1);
-            }
-        }
-    }
-
     #[test]
     #[should_panic(expected = "node 0's neighbour row is not sorted")]
     fn the_reference_engine_refuses_an_unsorted_row() {
-        // The edge test walks sorted rows: listed `[3, 1, 2]`, the centre's
-        // row would hide real edges, and their messages would count as
-        // dropped.
-        build_on_unsorted_star(None);
+        // The edge test binary-searches sorted rows: listed `[3, 1, 2]`,
+        // the centre's row would hide real edges, and their messages would
+        // count as dropped.
+        let star = crate::fixtures::UnsortedStar;
+        let (states, mask) = (flood_states(4, 3), vec![false; 4]);
+        let cfg = EngineConfig::default();
+        SyncEngine::new(&star, states, mask, NullAdversary, cfg, 1);
     }
 
     #[test]
     #[should_panic(expected = "node 0's neighbour row is not sorted")]
     fn the_sharded_engine_refuses_an_unsorted_row() {
-        build_on_unsorted_star(in_process(2, ClockPlan::Uniform));
-    }
-
-    #[test]
-    #[should_panic(expected = "node 0's neighbour row is not sorted")]
-    fn the_wire_coordinator_refuses_an_unsorted_row() {
-        build_on_unsorted_star(piped(2));
+        // `ShardedEngine::new` checks the rows before it reads its layout,
+        // so one layout stands for all.
+        let star = crate::fixtures::UnsortedStar;
+        let (states, mask) = (flood_states(4, 3), vec![false; 4]);
+        let layout = in_process(2, ClockPlan::Uniform).unwrap();
+        let cfg = EngineConfig::default();
+        ShardedEngine::new(&star, states, mask, NullAdversary, cfg, 1, layout);
     }
 
     /// Forges one envelope from a sender that does not exist.

@@ -12,10 +12,8 @@ use netsim_graph::{Csr, NodeId, SmallWorldNetwork, WattsStrogatz};
 /// may send to `to` exactly when `to` appears in `neighbors(from)`.  The
 /// engines drop (and count) any message violating this — Byzantine nodes
 /// included, since the paper's adversary "can send messages directly only
-/// to their neighbours" — and test it with a [`RowCursor`] walking the
-/// sender's row, so a row must be sorted.
-///
-/// [`RowCursor`]: netsim_graph::RowCursor
+/// to their neighbours" — and test it with a binary search of the
+/// sender's row ([`netsim_graph::row::contains`]), so a row must be sorted.
 pub trait Topology: Sync {
     /// Number of nodes.
     fn len(&self) -> usize;

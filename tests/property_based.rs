@@ -1331,9 +1331,8 @@ proptest! {
 // The counting hot path's lookups against the answers they replaced
 // ---------------------------------------------------------------------------
 
-use byzcount_core::discovery::{align_reports, reconstruct, DiscoveryOutcome};
-use byzcount_core::FloodPath;
-use netsim_graph::RowCursor;
+use byzcount_core::discovery::{reconstruct, DiscoveryOutcome};
+use netsim_graph::row;
 use std::collections::HashMap;
 
 /// A xorshift stream, so one fuzzed seed builds a whole row, query
@@ -1360,7 +1359,7 @@ impl Stream {
     }
 }
 
-/// The `HashMap` form `reconstruct` had before it took aligned reports,
+/// The `HashMap` form `reconstruct` had before it borrowed its reports,
 /// kept verbatim as the oracle: `reports` maps a sender to its last
 /// report.
 fn reconstruct_with_a_hashmap(
@@ -1620,50 +1619,35 @@ fn same_outcome(a: &DiscoveryOutcome, b: &DiscoveryOutcome) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The row cursor answers every query as a search from scratch does,
-    /// whatever the order: ascending runs, repeated ids, restarts, ids
-    /// past the row, and switches to another row.  Its positions follow
-    /// the rules the counting node and discovery read: the first and the
-    /// last occurrence of a repeated id.
+    /// The row lookups answer as a scan of the row does, on sorted rows
+    /// that repeat ids, for ids in the row, between its ids and past it.
+    /// Their positions follow the rules the counting node and discovery
+    /// read: the first and the last occurrence of a repeated id.
     #[test]
-    fn row_cursor_answers_as_a_binary_search(
+    fn row_lookups_answer_as_a_scan(
         seed in any::<u64>(),
         len in 0usize..48,
         span in 1u64..96,
-        queries in 1usize..160,
     ) {
         let mut s = Stream::new(seed);
-        let row = s.sorted_row(len, span);
-        let other = s.sorted_row(len / 2, span);
-        let mut cursor = RowCursor::new();
-        let mut id = 0u32;
-        for _ in 0..queries {
-            id = match s.below(8) {
-                0 => s.below(span) as u32,
-                1 => id,
-                2 => (span + s.below(4)) as u32,
-                _ => id + s.below(3) as u32,
-            };
-            let r = if s.below(6) == 0 { &other } else { &row };
-            let (lower, upper) = (
-                r.partition_point(|&x| x < id),
-                r.partition_point(|&x| x <= id),
-            );
-            let present = lower < upper;
-            match s.below(4) {
-                0 => prop_assert_eq!(cursor.seek(r, id), lower..upper),
-                1 => prop_assert_eq!(cursor.contains(r, id), r.binary_search(&id).is_ok()),
-                2 => prop_assert_eq!(cursor.first(r, id), present.then_some(lower)),
-                _ => prop_assert_eq!(cursor.last(r, id), present.then(|| upper - 1)),
-            }
+        let r = s.sorted_row(len, span);
+        for id in 0..span as u32 + 2 {
+            let first = r.iter().position(|&x| x == id);
+            let last = r.iter().rposition(|&x| x == id);
+            let place = r.iter().filter(|&&x| x < id).count();
+            let count = r.iter().filter(|&&x| x == id).count();
+            prop_assert_eq!(row::positions(&r, id), place..place + count);
+            prop_assert_eq!(row::first(&r, id), first);
+            prop_assert_eq!(row::last(&r, id), last);
+            prop_assert_eq!(row::contains(&r, id), r.binary_search(&id).is_ok());
         }
     }
 
-    /// Discovery from aligned, borrowed reports gives exactly what the
-    /// `HashMap` form gave, on honest and on lying reports, over rows
-    /// that repeat ids.
+    /// Discovery from borrowed reports gives exactly what the `HashMap`
+    /// form gave, on honest and on lying reports, over rows that repeat
+    /// ids.
     #[test]
-    fn aligned_discovery_matches_the_hashmap_form(
+    fn discovery_from_borrowed_reports_matches_the_hashmap_form(
         seed in any::<u64>(),
         span in 2u64..40,
         degree in 1u64..5,
@@ -1677,42 +1661,11 @@ proptest! {
         }
         let oracle = reconstruct_with_a_hashmap(case.me, &case.row, &map);
         let sent = case.inbox.iter().map(|(u, r)| (*u, r.as_slice()));
-        let aligned = reconstruct(case.me, &case.row, &align_reports(&case.row, sent));
+        let borrowed = reconstruct(case.me, &case.row, sent);
         prop_assert!(
-            same_outcome(&aligned, &oracle),
+            same_outcome(&borrowed, &oracle),
             "me {} row {:?} inbox {:?}: {:?} != {:?}",
-            case.me, case.row, case.inbox, aligned, oracle
+            case.me, case.row, case.inbox, borrowed, oracle
         );
-    }
-
-    /// A flood path holds up to three ids inline and spills beyond; either
-    /// way its `Wire` bytes are the `Vec<u32>` encoding (an adjacency
-    /// report's, after the tag), and it round-trips through the codec and
-    /// through serde as a plain sequence.
-    #[test]
-    fn flood_paths_round_trip_inline_and_spilled(seed in any::<u64>(), len in 0usize..7) {
-        let mut s = Stream::new(seed);
-        // Ids of one to four varint bytes.
-        let ids: Vec<u32> = (0..len)
-            .map(|_| {
-                let bits = 1 + 7 * s.below(4);
-                s.below(1 << bits) as u32
-            })
-            .collect();
-        let path = FloodPath::from(ids.clone());
-        prop_assert_eq!(path.as_slice(), ids.as_slice());
-        prop_assert_eq!(path.is_inline(), len <= FloodPath::INLINE);
-        let bytes = wire::encode_to_vec(&path);
-        let report = wire::encode_to_vec(&CountingMessage::Adjacency { neighbors: ids.clone() });
-        prop_assert_eq!(&bytes[..], &report[1..]);
-        let back: FloodPath = wire::decode_from_slice(&bytes).unwrap();
-        prop_assert_eq!(&back, &path);
-        prop_assert_eq!(back.is_inline(), path.is_inline());
-        let flood = CountingMessage::Flood { color: 9, path: path.clone() };
-        let decoded: CountingMessage = wire::decode_from_slice(&wire::encode_to_vec(&flood)).unwrap();
-        prop_assert_eq!(decoded, flood);
-        let json = serde_json::to_string(&path).unwrap();
-        prop_assert_eq!(&json, &serde_json::to_string(&ids).unwrap());
-        prop_assert_eq!(serde_json::from_str::<FloodPath>(&json).unwrap(), path);
     }
 }
